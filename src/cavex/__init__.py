@@ -34,6 +34,7 @@ from .dynamics import SystemSpec, Trajectory, hamiltonian_at, propagate
 from .observables import (
     FigureOfMerit,
     population_inversion,
+    purcell_rate,
     purcell_factor,
     beta_collection,
     bloch_trajectory,

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, load_sweep
 from .dynamics import PropagationError, propagate
-from .observables import bloch_trajectory
+from .observables import TruncatedTrajectoryError, bloch_trajectory
 from .pulses import (
     IntracavityField,
     TimeGrid,
@@ -59,10 +59,10 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _trajectory_rows(traj, field, system):
+def _trajectory_rows(traj, system):
     bloch = bloch_trajectory(traj, system.hilbert)
     for i, t in enumerate(traj.grid.times):
-        env = field.at(t)
+        env = traj.field.at(t)
         yield (
             t * 1e12,
             traj.excited_pop[i],
@@ -89,13 +89,12 @@ TRAJECTORY_HEADER = (
 
 def cmd_simulate(config, out_dir, formats):
     fom, area_pi, traj = run_cell(config)
-    field = intracavity_field_numeric(config.pulse(), config.excitation_mode(), config.field_grid())
     system = config.system()
     if "csv" in formats:
         _write_csv(
             out_dir / "trajectory.csv",
             TRAJECTORY_HEADER,
-            _trajectory_rows(traj, field, system),
+            _trajectory_rows(traj, system),
         )
     if "json" in formats:
         _write_json(
@@ -160,7 +159,7 @@ def cmd_bloch(config, mechanism, areas_pi, out_dir, formats):
             _write_csv(
                 out_dir / f"bloch_{tag}.csv",
                 TRAJECTORY_HEADER,
-                _trajectory_rows(traj, field, system),
+                _trajectory_rows(traj, system),
             )
         endpoints.append(
             {
@@ -314,12 +313,14 @@ def main(argv=None):
         if args.command == "convergence":
             return cmd_convergence(config, out_dir, formats)
         raise AssertionError(f"unhandled command {args.command}")
+    # before ValueError: TruncatedTrajectoryError and LinAlgError derive from it
+    except (PropagationError, SweepCellError, TruncatedTrajectoryError,
+            np.linalg.LinAlgError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (PropagationError, SweepCellError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -130,11 +130,10 @@ class RunConfig:
         return default_field_grid(self.pulse(), self.excitation_mode(), self.n_field_points)
 
     def hash(self):
-        payload = json.dumps(
-            {k: getattr(self, k) for k in sorted(self.__dataclass_fields__)},
-            sort_keys=True,
-            default=str,
-        )
+        """Digest of the physics fields; out_dir and formats do not enter."""
+        physics = {k: getattr(self, k) for k in self.__dataclass_fields__}
+        del physics["out_dir"], physics["formats"]
+        payload = json.dumps(physics, sort_keys=True, default=str)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field as _dfield
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .observables import purcell_rate
 from .phonons import bath_rate
-from .pulses import TimeGrid
+from .pulses import IntracavityField, TimeGrid
 from .qcore import HilbertSpec, annihilation, ground_state, sigma_minus
 
 
@@ -50,8 +51,9 @@ class SystemSpec:
 
     @property
     def emission_rate(self):
-        """Purcell + background decay rate 4 g^2 / kappa + gamma_bg."""
-        return 4.0 * self.g**2 / self.kappa + self.gamma_bg
+        """Purcell rate into the (possibly detuned) collection mode plus
+        background decay."""
+        return purcell_rate(self.g, self.kappa, self.delta_omega_c) + self.gamma_bg
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,14 @@ class Trajectory:
     states: np.ndarray = _dfield(repr=False)  # (n_t, dim, dim)
     photon_number: np.ndarray = _dfield(repr=False)
     excited_pop: np.ndarray = _dfield(repr=False)
+    field: IntracavityField = _dfield(repr=False)  # the drive it was propagated under
+
+
+def ringdown_grid(system, field, n_points):
+    """The field window extended by 16 emission lifetimes, so the collection
+    mode has fully rung down by the last sample."""
+    tail = 16.0 / system.emission_rate
+    return TimeGrid(field.grid.t_start, field.grid.t_end + tail, n_points)
 
 
 class _Operators:
@@ -148,10 +158,9 @@ def redfield_dissipator(system, phonon, h_now, _ops=None, secular=False, _warned
 def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=False):
     """Integrate the master equation over the grid and return a Trajectory.
 
-    grid defaults to the field grid extended by 16 emission lifetimes so the
-    collection mode has fully rung down.  tol is the rtol of the adaptive
-    RK45 integrator; atol is set two decades tighter because most matrix
-    elements are far below unit scale during the ring-down tail.
+    grid defaults to ``ringdown_grid`` with 600 points.  tol is the rtol of
+    the adaptive RK45 integrator; atol is set two decades tighter because
+    most matrix elements are far below unit scale during the ring-down tail.
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol must lie in [1e-12, 1e-4]")
@@ -160,8 +169,7 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=Fal
     if rho0 is None:
         rho0 = ground_state(system.hilbert)
     if grid is None:
-        tail = 16.0 / system.emission_rate
-        grid = TimeGrid(field.grid.t_start, field.grid.t_end + tail, 600)
+        grid = ringdown_grid(system, field, 600)
 
     kappa = system.kappa
     gamma_bg = system.gamma_bg
@@ -210,4 +218,4 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=Fal
 
     photon = np.einsum("tij,ji->t", states, n_op).real
     excited = np.einsum("tij,ji->t", states, pop).real
-    return Trajectory(grid, states, photon, excited)
+    return Trajectory(grid, states, photon, excited, field)

@@ -39,15 +39,16 @@ def population_inversion(traj, kappa, check_decay=True):
     return float(np.trapezoid(kappa * n, traj.grid.times))
 
 
+def purcell_rate(g, kappa, detuning):
+    """Cavity-enhanced emission rate 4 g^2/kappa / (1 + (2 detuning/kappa)^2)."""
+    return 4.0 * g**2 / kappa / (1.0 + (2.0 * detuning / kappa) ** 2)
+
+
 def purcell_factor(g, kappa, gamma_bg, detuning):
-    """F_p(detuning) = 4 g^2/(kappa gamma_bg) / (1 + (2 detuning/kappa)^2)."""
+    """F_p(detuning) = purcell_rate(g, kappa, detuning) / gamma_bg."""
     if gamma_bg <= 0:
         raise ValueError("purcell_factor requires gamma_bg > 0; use beta_collection otherwise")
-    return 4.0 * g**2 / (kappa * gamma_bg) / (1.0 + (2.0 * detuning / kappa) ** 2)
-
-
-def _lorentzian(detuning, kappa):
-    return 1.0 / (1.0 + (2.0 * detuning / kappa) ** 2)
+    return purcell_rate(g, kappa, detuning) / gamma_bg
 
 
 def beta_collection(system):
@@ -58,8 +59,8 @@ def beta_collection(system):
     the emitter.  For gamma_bg = 0 the "+1" term drops and the expression
     reduces to the cavity-rate ratio R_c / (R_c + R_e).
     """
-    r_c = 4.0 * system.g**2 / system.kappa * _lorentzian(system.delta_omega_c, system.kappa)
-    r_e = 4.0 * system.g**2 / system.kappa * _lorentzian(system.delta_omega_e, system.kappa)
+    r_c = purcell_rate(system.g, system.kappa, system.delta_omega_c)
+    r_e = purcell_rate(system.g, system.kappa, system.delta_omega_e)
     return r_c / (r_c + r_e + system.gamma_bg)
 
 

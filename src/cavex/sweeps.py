@@ -1,9 +1,12 @@
 """Batch execution over parameter grids.
 
 Every figure-class result is a rectangular sweep of independent single-cell
-simulations.  Cells are deterministic functions of the immutable RunConfig,
-so they may run in any order and on any number of workers; results are
-gathered by cell index, making the output independent of scheduling.
+simulations, and every sweep runs through the one executor ``run_sweep``;
+the figure-class functions (power curves, laser- and cavity-detuning maps,
+mode-splitting maps) only build its SweepSpec and add metadata.  Cells are
+deterministic functions of the immutable RunConfig, so they may run in any
+order and on any number of workers; results are gathered by cell index,
+making the output independent of scheduling.
 """
 
 import time
@@ -14,9 +17,9 @@ import numpy as np
 
 from . import __version__
 from .config import SweepSpec, apply_override
-from .dynamics import propagate
+from .dynamics import propagate, ringdown_grid
 from .observables import beta_collection, figure_of_merit
-from .pulses import TimeGrid, intracavity_field_numeric, pulse_area
+from .pulses import intracavity_field_numeric, pulse_area
 
 
 class SweepCellError(RuntimeError):
@@ -44,12 +47,7 @@ def run_cell(config):
     system = config.system()
     phonon = config.phonon()
     field = intracavity_field_numeric(pulse, mode, config.field_grid())
-    # ring-down tail: the Purcell rate carries the collection-mode
-    # Lorentzian roll-off when the cavity is detuned from the emitter
-    lorentz = 1.0 / (1.0 + (2.0 * system.delta_omega_c / system.kappa) ** 2)
-    decay = 4.0 * system.g**2 / system.kappa * lorentz + system.gamma_bg
-    tail = 16.0 / decay
-    grid = TimeGrid(field.grid.t_start, field.grid.t_end + tail, config.n_traj_points)
+    grid = ringdown_grid(system, field, config.n_traj_points)
     traj = propagate(system, field, phonon, grid=grid, tol=config.tol, secular=config.secular)
     fom = figure_of_merit(traj, system)
     return fom, pulse_area(field), traj
@@ -75,21 +73,32 @@ def _worker(args):
 
 
 def run_sweep(config, spec, workers=1):
-    """Execute a SweepSpec and return a SweepResult."""
+    """Execute a SweepSpec and return a SweepResult.
+
+    In a ``cavity_map`` both polarization modes shift together with the
+    cavity: setting ``system.delta_omega_c_GHz`` also moves
+    ``system.delta_omega_e_GHz``, keeping the config's offset between them.
+    """
     axis1 = np.asarray(spec.axis1_values, dtype=float)
     axis2 = np.asarray(spec.axis2_values, dtype=float) if spec.axis2_path else None
+    offset = config.delta_omega_e_GHz - config.delta_omega_c_GHz
+
+    def override(cfg, path, value):
+        cfg = apply_override(cfg, path, value)
+        if spec.kind == "cavity_map" and path == "system.delta_omega_c_GHz":
+            cfg = apply_override(cfg, "system.delta_omega_e_GHz", cfg.delta_omega_c_GHz + offset)
+        return cfg
 
     cells = []
     if axis2 is None:
         for i, v1 in enumerate(axis1):
-            cfg = apply_override(config, spec.axis1_path, v1)
-            cells.append(((i,), cfg))
+            cells.append(((i,), override(config, spec.axis1_path, v1)))
         shape = (len(axis1),)
     else:
         for i, v1 in enumerate(axis1):
-            cfg1 = apply_override(config, spec.axis1_path, v1)
+            cfg1 = override(config, spec.axis1_path, v1)
             for j, v2 in enumerate(axis2):
-                cells.append(((i, j), apply_override(cfg1, spec.axis2_path, v2)))
+                cells.append(((i, j), override(cfg1, spec.axis2_path, v2)))
         shape = (len(axis1), len(axis2))
 
     t0 = time.monotonic()
@@ -132,19 +141,13 @@ def power_sweep(config, amplitudes_pi, workers=1):
     beta = beta_collection(config.system())
     res.metadata["beta_c"] = beta
     res.metadata["eta_c"] = tuple(beta * res.values)
-    res.metadata["intracavity_area_pi"] = tuple(
-        _intracavity_areas(config, amplitudes_pi)
-    )
+    # the filtered field is linear in the input amplitude: one build at
+    # unit area gives every row's intra-cavity area
+    unit = apply_override(config, "pulse.amplitude_pi", 1.0)
+    field = intracavity_field_numeric(unit.pulse(), unit.excitation_mode(), unit.field_grid())
+    area = pulse_area(field)
+    res.metadata["intracavity_area_pi"] = tuple(area * float(amp) for amp in amplitudes_pi)
     return res
-
-
-def _intracavity_areas(config, amplitudes_pi):
-    areas = []
-    for amp in amplitudes_pi:
-        cfg = apply_override(config, "pulse.amplitude_pi", amp)
-        field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
-        areas.append(pulse_area(field))
-    return areas
 
 
 def detuning_amplitude_map(config, laser_detunings_GHz, amplitudes_pi, workers=1):
@@ -182,38 +185,15 @@ def cavity_detuning_map(config, cavity_detunings_GHz, amplitudes_pi, workers=1):
     Detuning the cavity moves both polarization modes together: the
     excitation mode keeps its configured offset from the collection mode.
     """
-    offset = config.delta_omega_e_GHz - config.delta_omega_c_GHz
-    axis1 = np.asarray(cavity_detunings_GHz, dtype=float)
-    axis2 = np.asarray(amplitudes_pi, dtype=float)
-    values = np.full((len(axis1), len(axis2)), np.nan)
-    jobs = []
-    for i, dwc in enumerate(axis1):
-        cfg = apply_override(config, "system.delta_omega_c_GHz", dwc)
-        cfg = apply_override(cfg, "system.delta_omega_e_GHz", dwc + offset)
-        for j, amp in enumerate(axis2):
-            jobs.append(((i, j), apply_override(cfg, "pulse.amplitude_pi", amp), "EtaC", ()))
-    t0 = time.monotonic()
-    if workers > 1:
-        with get_context("spawn").Pool(workers) as pool:
-            results = pool.map(_worker, jobs)
-    else:
-        results = map(_worker, jobs)
-    for idx, val in results:
-        if isinstance(val, Exception):
-            raise SweepCellError(f"cell {idx} failed: {val}") from val
-        values[idx] = val
-    axes = (
-        ("system.delta_omega_c_GHz", tuple(axis1)),
-        ("pulse.amplitude_pi", tuple(axis2)),
+    spec = SweepSpec(
+        kind="cavity_map",
+        axis1_path="system.delta_omega_c_GHz",
+        axis1_values=tuple(cavity_detunings_GHz),
+        axis2_path="pulse.amplitude_pi",
+        axis2_values=tuple(amplitudes_pi),
+        reduce="EtaC",
     )
-    meta = {
-        "config_hash": config.hash(),
-        "version": __version__,
-        "wall_time_s": time.monotonic() - t0,
-        "kind": "cavity_map",
-        "reduce": "EtaC",
-    }
-    return SweepResult(axes, values, meta)
+    return run_sweep(config, spec, workers)
 
 
 def fock_convergence(config, delta_tol=1e-4):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cavex import cli, sweeps
 from cavex.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from cavex.config import (
     ConfigError,
@@ -14,6 +15,7 @@ from cavex.config import (
     load_config,
     load_sweep,
 )
+from cavex.observables import TruncatedTrajectoryError
 
 GHZ = 2 * np.pi * 1e9
 
@@ -137,6 +139,9 @@ formats = json
         a, b = RunConfig(), RunConfig()
         assert a.hash() == b.hash()
         assert a.hash() != RunConfig(amplitude_pi=9.0).hash()
+        # where and how results are written is not part of the physics
+        assert a.hash() == RunConfig(out_dir="elsewhere").hash()
+        assert a.hash() == RunConfig(formats=("json",)).hash()
 
 
 class TestSweepSpec:
@@ -217,6 +222,19 @@ class TestCliSimulate:
         assert (out / "summary.json").exists()
         assert not (out / "trajectory.csv").exists()
 
+    def test_builds_the_field_once(self, tmp_path, monkeypatch):
+        calls = []
+        for module in (sweeps, cli):
+            build = module.intracavity_field_numeric
+            monkeypatch.setattr(
+                module,
+                "intracavity_field_numeric",
+                lambda *args, build=build: calls.append(args) or build(*args),
+            )
+        cfg = write_ini(tmp_path, FAST_INI)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert len(calls) == 1
+
     def test_seed_check_deterministic(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, FAST_INI)
         assert main(["simulate", "--config", str(cfg), "--seed-check"]) == EXIT_OK
@@ -231,6 +249,18 @@ class TestCliErrors:
     def test_unknown_key_exits_validation(self, tmp_path):
         cfg = write_ini(tmp_path, "[pulse]\nbogus = 1\n")
         assert main(["simulate", "--config", str(cfg)]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "error", [TruncatedTrajectoryError("rings down late"), np.linalg.LinAlgError("eigh")]
+    )
+    def test_numerical_failures_exit_numerical(self, tmp_path, monkeypatch, error):
+        def fail(config):
+            raise error
+
+        monkeypatch.setattr(cli, "run_cell", fail)
+        cfg = write_ini(tmp_path, FAST_INI)
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_NUMERICAL
 
     def test_sweep_requires_config(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path)]) == EXIT_VALIDATION

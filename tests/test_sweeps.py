@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from cavex.config import SweepSpec, blue_case
+from cavex import sweeps
+from cavex.config import SweepSpec, apply_override, blue_case, red_case
+from cavex.pulses import intracavity_field_numeric, pulse_area
 from cavex.sweeps import (
     SweepCellError,
     SweepResult,
@@ -12,6 +14,7 @@ from cavex.sweeps import (
     fock_convergence,
     modesplit_map,
     power_sweep,
+    run_cell,
     run_sweep,
 )
 
@@ -44,6 +47,37 @@ class TestPowerSweep:
         # input area 4 pi filters down to a smaller intra-cavity area
         assert 0.0 < res.metadata["intracavity_area_pi"][1] < 4.0
         assert "config_hash" in res.metadata and "wall_time_s" in res.metadata
+
+    def test_one_field_build_per_cell_plus_one(self, monkeypatch):
+        calls = []
+        build = sweeps.intracavity_field_numeric
+        monkeypatch.setattr(
+            sweeps, "intracavity_field_numeric", lambda *args: calls.append(args) or build(*args)
+        )
+        power_sweep(blue_case(phonon_enabled=False, **FAST), [0.0, 1.0, 2.0])
+        assert len(calls) == 3 + 1
+
+    @pytest.mark.parametrize("case", [blue_case, red_case])
+    def test_intracavity_area_matches_per_amplitude_builds(self, case):
+        cfg = case(phonon_enabled=False, **FAST)
+        amps = [0.0, 1.5, 4.0]
+        res = power_sweep(cfg, amps)
+        reference = []
+        for amp in amps:
+            cell = apply_override(cfg, "pulse.amplitude_pi", amp)
+            mode, grid = cell.excitation_mode(), cell.field_grid()
+            reference.append(pulse_area(intracavity_field_numeric(cell.pulse(), mode, grid)))
+        areas = res.metadata["intracavity_area_pi"]
+        np.testing.assert_allclose(areas, reference, rtol=1e-12, atol=0)
+        assert areas[0] == 0.0
+
+
+class TestRunCell:
+    def test_detuned_cavity_rings_down_over_16_emission_lifetimes(self):
+        cfg = blue_case(phonon_enabled=False, delta_omega_c_GHz=10.0, amplitude_pi=2.0, **FAST)
+        _, _, traj = run_cell(cfg)
+        t_end = cfg.field_grid().t_end + 16.0 / cfg.system().emission_rate
+        assert traj.grid.t_end == pytest.approx(t_end, rel=1e-12)
 
 
 class TestDeterminismAndWorkers:
@@ -114,6 +148,22 @@ class TestCavityDetuningMap:
         np.testing.assert_array_equal(res.values[:, 0], 0.0)
         assert (res.values[:, 1] > 0.0).all()
         assert res.axes[0][0] == "system.delta_omega_c_GHz"
+
+    def test_run_sweep_cavity_map_moves_both_modes(self):
+        # the excitation mode follows the cavity in the executor itself, so a
+        # cavity_map spec and the wrapper give the same cells
+        cfg = blue_case(**FAST)
+        spec = SweepSpec(
+            kind="cavity_map",
+            axis1_path="system.delta_omega_c_GHz",
+            axis1_values=(-10.0, 10.0),
+            axis2_path="pulse.amplitude_pi",
+            axis2_values=(4.0,),
+            reduce="EtaC",
+        )
+        np.testing.assert_array_equal(
+            run_sweep(cfg, spec).values, cavity_detuning_map(cfg, [-10.0, 10.0], [4.0]).values
+        )
 
 
 class TestFockConvergence:
