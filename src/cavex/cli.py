@@ -2,10 +2,13 @@
 
 Subcommands: simulate (one trajectory), bloch (mechanism comparison over
 pulse areas), sweep (figure-recipe grids), convergence (Fock-truncation
-check).  All quantities are written in experimental conventions: times in
-ps, frequencies in GHz (omega / 2 pi), pulse areas in units of pi.
+check).  ``sweep`` hands the recipe's [sweep] section to ``run_sweep`` as
+written and alone takes ``--workers``.  All quantities are written in
+experimental conventions: times in ps, frequencies in GHz (omega / 2 pi),
+pulse areas in units of pi.
 
-Exit codes: 0 success, 1 numerical failure, 2 validation failure.
+Exit codes: 0 success, 1 numerical failure, 2 validation failure.  A failed
+sweep cell exits with the code of the error that made it fail.
 """
 
 import argparse
@@ -26,15 +29,7 @@ from .pulses import (
     input_envelope,
     intracavity_field_numeric,
 )
-from .sweeps import (
-    SweepCellError,
-    cavity_detuning_map,
-    detuning_amplitude_map,
-    fock_convergence,
-    power_sweep,
-    run_cell,
-    run_sweep,
-)
+from .sweeps import SweepCellError, fock_convergence, run_cell, run_sweep
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -180,31 +175,14 @@ def cmd_bloch(config, mechanism, areas_pi, out_dir, formats):
     return EXIT_OK
 
 
-def _dispatch_sweep(config, spec, workers):
-    if spec.kind == "power":
-        return power_sweep(config, spec.axis1_values, workers)
-    if spec.kind == "detuning_map":
-        return detuning_amplitude_map(config, spec.axis1_values, spec.axis2_values, workers)
-    if spec.kind == "cavity_map":
-        return cavity_detuning_map(config, spec.axis1_values, spec.axis2_values, workers)
-    return run_sweep(config, spec, workers)
-
-
 def cmd_sweep(config, spec, out_dir, formats, workers):
-    result = _dispatch_sweep(config, spec, workers)
+    result = run_sweep(config, spec, workers)
     if "csv" in formats:
-        rows = []
-        if len(result.axes) == 1:
-            (p1, v1), = result.axes
-            header = (p1, "value")
-            for i, a in enumerate(v1):
-                rows.append((a, result.values[i]))
-        else:
-            (p1, v1), (p2, v2) = result.axes
-            header = (p1, p2, "value")
-            for i, a in enumerate(v1):
-                for j, b in enumerate(v2):
-                    rows.append((a, b, result.values[i, j]))
+        header = tuple(path for path, _ in result.axes) + ("value",)
+        rows = (
+            tuple(values[i] for (_, values), i in zip(result.axes, idx)) + (result.values[idx],)
+            for idx in np.ndindex(result.values.shape)
+        )
         _write_csv(out_dir / "map.csv", header, rows)
     if "json" in formats:
         meta = dict(result.metadata)
@@ -258,7 +236,6 @@ def build_parser():
     def common(p):
         p.add_argument("--config", type=Path, help="INI configuration file")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
         p.add_argument(
             "--format",
             choices=("csv", "json"),
@@ -287,7 +264,9 @@ def build_parser():
         default=[0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0],
         help="input pulse areas in units of pi",
     )
-    common(sub.add_parser("sweep", help="run the [sweep] recipe in the config file"))
+    p_sweep = sub.add_parser("sweep", help="run the [sweep] recipe in the config file")
+    common(p_sweep)
+    p_sweep.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
     common(sub.add_parser("convergence", help="Fock-truncation convergence check"))
     return parser
 
@@ -313,14 +292,20 @@ def main(argv=None):
         if args.command == "convergence":
             return cmd_convergence(config, out_dir, formats)
         raise AssertionError(f"unhandled command {args.command}")
+    except (PropagationError, SweepCellError, ArithmeticError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _exit_code(exc)
+
+
+def _exit_code(exc):
+    """Numerical or validation failure; a failed sweep cell is classified
+    by the error that made it fail."""
+    if isinstance(exc, SweepCellError):
+        exc = exc.__cause__
     # before ValueError: TruncatedTrajectoryError and LinAlgError derive from it
-    except (PropagationError, SweepCellError, TruncatedTrajectoryError,
-            np.linalg.LinAlgError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if isinstance(exc, (TruncatedTrajectoryError, np.linalg.LinAlgError)):
         return EXIT_NUMERICAL
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    return EXIT_VALIDATION if isinstance(exc, ValueError) else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -61,9 +61,6 @@ class RunConfig:
     n_traj_points: int = 2000
     tol: float = 1e-8
     n_max: int = 3
-    # output
-    out_dir: str = "out"
-    formats: tuple = ("csv", "json")
 
     def __post_init__(self):
         if self.pulse_shape not in ("Sech", "Gaussian", "ChirpedGaussian"):
@@ -130,10 +127,9 @@ class RunConfig:
         return default_field_grid(self.pulse(), self.excitation_mode(), self.n_field_points)
 
     def hash(self):
-        """Digest of the physics fields; out_dir and formats do not enter."""
-        physics = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        del physics["out_dir"], physics["formats"]
-        payload = json.dumps(physics, sort_keys=True, default=str)
+        """Digest of every field."""
+        fields = {k: getattr(self, k) for k in self.__dataclass_fields__}
+        payload = json.dumps(fields, sort_keys=True, default=str)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -164,8 +160,6 @@ _KEYMAP = {
     "solver.n_traj_points": ("n_traj_points", int),
     "solver.tol": ("tol", float),
     "solver.n_max": ("n_max", int),
-    "output.directory": ("out_dir", str),
-    "output.formats": ("formats", lambda s: tuple(x.strip() for x in s.split(","))),
 }
 
 
@@ -224,6 +218,10 @@ class SweepSpec:
             raise ConfigError(f"sweep.kind: unknown kind {self.kind!r}")
         if len(self.axis1_values) == 0:
             raise ConfigError("sweep.axis1_values: empty axis")
+        if self.axis2_path and len(self.axis2_values) == 0:
+            raise ConfigError("sweep.axis2_values: empty axis")
+        if len(self.axis2_values) and not self.axis2_path:
+            raise ConfigError("sweep.axis2_path: required by axis2_values")
         for vals, label in ((self.axis1_values, "axis1"), (self.axis2_values, "axis2")):
             arr = np.asarray(vals, dtype=float)
             if arr.size and not np.all(np.isfinite(arr)):
@@ -235,6 +233,14 @@ class SweepSpec:
         if self.reduce == "MaxOverAmplitude" and len(self.amplitude_grid) == 0:
             raise ConfigError("sweep.amplitude_grid: required for MaxOverAmplitude")
 
+    @property
+    def axes(self):
+        """((path, values), ...) of the swept axes, in row-major order."""
+        axes = ((self.axis1_path, self.axis1_values),)
+        if self.axis2_path:
+            axes += ((self.axis2_path, self.axis2_values),)
+        return tuple((path, tuple(float(v) for v in values)) for path, values in axes)
+
 
 def _parse_values(raw):
     vals = tuple(float(x) for x in raw.replace(",", " ").split())
@@ -242,25 +248,20 @@ def _parse_values(raw):
 
 
 def load_sweep(path):
-    """Parse the [sweep] section of a recipe INI into a SweepSpec."""
+    """Parse the [sweep] section of a recipe INI into a SweepSpec; unknown
+    keys are errors."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str
     if not parser.read(path):
         raise ConfigError(f"{path}: cannot read sweep file")
     if "sweep" not in parser:
         raise ConfigError(f"{path}: missing [sweep] section")
-    s = parser["sweep"]
-    kwargs = {"kind": s.get("kind", "power")}
-    if "axis1_path" in s:
-        kwargs["axis1_path"] = s["axis1_path"]
-    kwargs["axis1_values"] = _parse_values(s.get("axis1_values", ""))
-    if "axis2_path" in s:
-        kwargs["axis2_path"] = s["axis2_path"]
-        kwargs["axis2_values"] = _parse_values(s.get("axis2_values", ""))
-    if "reduce" in s:
-        kwargs["reduce"] = s["reduce"]
-    if "amplitude_grid" in s:
-        kwargs["amplitude_grid"] = _parse_values(s["amplitude_grid"])
+    lists = ("axis1_values", "axis2_values", "amplitude_grid")
+    kwargs = {"kind": "power"}
+    for key, raw in parser["sweep"].items():
+        if key not in SweepSpec.__dataclass_fields__:
+            raise ConfigError(f"sweep.{key}: unknown sweep key")
+        kwargs[key] = _parse_values(raw) if key in lists else raw
     return SweepSpec(**kwargs)
 
 

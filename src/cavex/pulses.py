@@ -14,7 +14,7 @@ at the emitter frequency; the stored phase factor is e^{+i dwL t}.
 from dataclasses import dataclass, field as _dfield
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
 
 from .specfun import gauss_2f1_11, sech
 
@@ -175,7 +175,9 @@ def intracavity_field_numeric(pulse, mode, grid):
         raise GridResolutionError(f"grid dt={dt:.3e}s does not resolve t_p={pulse.t_p:.3e}s")
     e_in = input_envelope(pulse, t)
     h = cavity_impulse_response(mode, t - t[0])
-    conv = fftconvolve(e_in, h)[: len(t)] * dt
+    # linear, not circular, convolution: zero-pad to at least 2N - 1 points
+    n = scipy.fft.next_fast_len(2 * len(t) - 1)
+    conv = scipy.fft.ifft(scipy.fft.fft(e_in, n) * scipy.fft.fft(h, n))[: len(t)] * dt
     # trapezoid endpoint correction for the half-weight samples
     conv -= 0.5 * dt * (e_in * h[0] + e_in[0] * h)
     return IntracavityField(grid, 0.5 * mode.kappa * conv)

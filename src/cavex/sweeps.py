@@ -1,9 +1,11 @@
 """Batch execution over parameter grids.
 
 Every figure-class result is a rectangular sweep of independent single-cell
-simulations, and every sweep runs through the one executor ``run_sweep``;
-the figure-class functions (power curves, laser- and cavity-detuning maps,
-mode-splitting maps) only build its SweepSpec and add metadata.  Cells are
+simulations.  Every sweep, whether a ``cavex sweep`` recipe or a Python
+call, runs through the one executor ``run_sweep``, which honours the spec's
+axis paths and reduction and derives the metadata from the spec alone.  The
+figure-class functions (power curves, laser- and cavity-detuning maps,
+mode-splitting maps) only build a SweepSpec for it.  Cells are
 deterministic functions of the immutable RunConfig, so they may run in any
 order and on any number of workers; results are gathered by cell index,
 making the output independent of scheduling.
@@ -78,9 +80,13 @@ def run_sweep(config, spec, workers=1):
     In a ``cavity_map`` both polarization modes shift together with the
     cavity: setting ``system.delta_omega_c_GHz`` also moves
     ``system.delta_omega_e_GHz``, keeping the config's offset between them.
+
+    The metadata follows the spec: a power curve (one axis,
+    ``pulse.amplitude_pi``, reduced to ``PiE``) adds ``beta_c``, ``eta_c``
+    and the intra-cavity area of every row; a ``detuning_map`` adds the
+    maximum over each row of its first axis.
     """
-    axis1 = np.asarray(spec.axis1_values, dtype=float)
-    axis2 = np.asarray(spec.axis2_values, dtype=float) if spec.axis2_path else None
+    axes = spec.axes
     offset = config.delta_omega_e_GHz - config.delta_omega_c_GHz
 
     def override(cfg, path, value):
@@ -89,21 +95,18 @@ def run_sweep(config, spec, workers=1):
             cfg = apply_override(cfg, "system.delta_omega_e_GHz", cfg.delta_omega_c_GHz + offset)
         return cfg
 
-    cells = []
-    if axis2 is None:
-        for i, v1 in enumerate(axis1):
-            cells.append(((i,), override(config, spec.axis1_path, v1)))
-        shape = (len(axis1),)
-    else:
-        for i, v1 in enumerate(axis1):
-            cfg1 = override(config, spec.axis1_path, v1)
-            for j, v2 in enumerate(axis2):
-                cells.append(((i, j), override(cfg1, spec.axis2_path, v2)))
-        shape = (len(axis1), len(axis2))
+    # every cell's config, in row-major order
+    cells = [config]
+    for path, points in axes:
+        cells = [override(cfg, path, v) for cfg in cells for v in points]
+    shape = tuple(len(points) for _, points in axes)
 
     t0 = time.monotonic()
     values = np.full(shape, np.nan)
-    jobs = [(idx, cfg, spec.reduce, spec.amplitude_grid) for idx, cfg in cells]
+    jobs = [
+        (idx, cfg, spec.reduce, spec.amplitude_grid)
+        for idx, cfg in zip(np.ndindex(shape), cells)
+    ]
     if workers > 1:
         with get_context("spawn").Pool(workers) as pool:
             results = pool.map(_worker, jobs)
@@ -114,9 +117,6 @@ def run_sweep(config, spec, workers=1):
             raise SweepCellError(f"cell {idx} failed: {val}") from val
         values[idx] = val
 
-    axes = [(spec.axis1_path, tuple(axis1))]
-    if axis2 is not None:
-        axes.append((spec.axis2_path, tuple(axis2)))
     meta = {
         "config_hash": config.hash(),
         "version": __version__,
@@ -124,10 +124,28 @@ def run_sweep(config, spec, workers=1):
         "kind": spec.kind,
         "reduce": spec.reduce,
     }
-    return SweepResult(tuple(axes), values, meta)
+    if [path for path, _ in axes] == ["pulse.amplitude_pi"] and spec.reduce == "PiE":
+        meta.update(_power_metadata(config, axes[0][1], values))
+    if spec.kind == "detuning_map":
+        meta["row_maxima"] = tuple(values.reshape(shape[0], -1).max(axis=1))
+    return SweepResult(axes, values, meta)
 
 
-# convenience wrappers for the figure classes ---------------------------
+def _power_metadata(config, amplitudes_pi, pi_e):
+    beta = beta_collection(config.system())
+    # the filtered field is linear in the input amplitude: one build at
+    # unit area gives every row's intra-cavity area
+    unit = apply_override(config, "pulse.amplitude_pi", 1.0)
+    field = intracavity_field_numeric(unit.pulse(), unit.excitation_mode(), unit.field_grid())
+    area = pulse_area(field)
+    return {
+        "beta_c": beta,
+        "eta_c": tuple(beta * pi_e),
+        "intracavity_area_pi": tuple(area * amp for amp in amplitudes_pi),
+    }
+
+
+# SweepSpec builders for the figure classes ------------------------------
 
 def power_sweep(config, amplitudes_pi, workers=1):
     """pi_e (and eta_c via beta_c) versus input pulse area."""
@@ -137,17 +155,7 @@ def power_sweep(config, amplitudes_pi, workers=1):
         axis1_values=tuple(amplitudes_pi),
         reduce="PiE",
     )
-    res = run_sweep(config, spec, workers)
-    beta = beta_collection(config.system())
-    res.metadata["beta_c"] = beta
-    res.metadata["eta_c"] = tuple(beta * res.values)
-    # the filtered field is linear in the input amplitude: one build at
-    # unit area gives every row's intra-cavity area
-    unit = apply_override(config, "pulse.amplitude_pi", 1.0)
-    field = intracavity_field_numeric(unit.pulse(), unit.excitation_mode(), unit.field_grid())
-    area = pulse_area(field)
-    res.metadata["intracavity_area_pi"] = tuple(area * float(amp) for amp in amplitudes_pi)
-    return res
+    return run_sweep(config, spec, workers)
 
 
 def detuning_amplitude_map(config, laser_detunings_GHz, amplitudes_pi, workers=1):
@@ -160,9 +168,7 @@ def detuning_amplitude_map(config, laser_detunings_GHz, amplitudes_pi, workers=1
         axis2_values=tuple(amplitudes_pi),
         reduce="PiE",
     )
-    res = run_sweep(config, spec, workers)
-    res.metadata["row_maxima"] = tuple(res.values.max(axis=1))
-    return res
+    return run_sweep(config, spec, workers)
 
 
 def modesplit_map(config, splittings_GHz, laser_detunings_GHz, amplitude_grid_pi, workers=1):

@@ -15,7 +15,7 @@ from cavex.config import (
     load_config,
     load_sweep,
 )
-from cavex.observables import TruncatedTrajectoryError
+from cavex.observables import TruncatedTrajectoryError, beta_collection
 
 GHZ = 2 * np.pi * 1e9
 
@@ -25,6 +25,13 @@ amplitude_pi = 2.0
 [solver]
 n_field_points = 4096
 n_traj_points = 300
+"""
+
+
+NO_PHONON_SWEEP = """
+[phonon]
+enabled = false
+[sweep]
 """
 
 
@@ -108,8 +115,6 @@ enabled = false
 [solver]
 tol = 1e-10
 n_max = 4
-[output]
-formats = json
 """,
         )
         cfg = load_config(path)
@@ -120,7 +125,6 @@ formats = json
         assert cfg.phonon_enabled is False
         assert cfg.tol == 1e-10
         assert cfg.n_max == 4
-        assert cfg.formats == ("json",)
 
     def test_unspecified_keys_keep_defaults(self, tmp_path):
         cfg = load_config(write_ini(tmp_path, "[pulse]\namplitude_pi = 1.0\n"))
@@ -139,9 +143,6 @@ formats = json
         a, b = RunConfig(), RunConfig()
         assert a.hash() == b.hash()
         assert a.hash() != RunConfig(amplitude_pi=9.0).hash()
-        # where and how results are written is not part of the physics
-        assert a.hash() == RunConfig(out_dir="elsewhere").hash()
-        assert a.hash() == RunConfig(formats=("json",)).hash()
 
 
 class TestSweepSpec:
@@ -174,6 +175,14 @@ axis1_values = 0 2 4
         spec = load_sweep(path)
         assert spec.kind == "power"
         assert spec.axis1_values == (0.0, 2.0, 4.0)
+
+    def test_load_sweep_rejects_keys_it_would_ignore(self, tmp_path):
+        typo = write_ini(tmp_path, "[sweep]\naxis1_values = 1 2\nreduc = EtaC\n", name="typo.ini")
+        with pytest.raises(ConfigError, match="sweep.reduc"):
+            load_sweep(typo)
+        orphan = write_ini(tmp_path, "[sweep]\naxis1_values = 1 2\naxis2_values = 3 4\n", name="orphan.ini")
+        with pytest.raises(ConfigError, match="axis2_path"):
+            load_sweep(orphan)
 
     def test_load_sweep_missing_section(self, tmp_path):
         path = write_ini(tmp_path, "[pulse]\namplitude_pi = 1\n")
@@ -262,6 +271,32 @@ class TestCliErrors:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == EXIT_NUMERICAL
 
+    def test_output_section_is_rejected(self, tmp_path, monkeypatch):
+        # --out and --format are the output settings; an [output] key is unknown
+        monkeypatch.chdir(tmp_path)
+        cfg = write_ini(tmp_path, FAST_INI + "[output]\ndirectory = elsewhere\n")
+        with pytest.raises(ConfigError, match="output.directory"):
+            load_config(cfg)
+        assert main(["simulate", "--config", str(cfg), "--out", "o"]) == EXIT_VALIDATION
+        assert not (tmp_path / "elsewhere").exists()
+
+    def test_workers_belongs_to_sweep_alone(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--workers", "7"])
+        assert exit_info.value.code == EXIT_VALIDATION
+
+    def test_failed_sweep_cell_exits_with_its_cause(self, tmp_path, capsys):
+        # a field grid this coarse fails validation inside the cell; the
+        # sweep reports it as simulate does, with the cell's coordinates
+        body = FAST_INI.replace("4096", "256")
+        cfg = write_ini(tmp_path, body)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        recipe = write_ini(
+            tmp_path, body + "[sweep]\nkind = power\naxis1_values = 2\n", name="recipe.ini"
+        )
+        assert main(["sweep", "--config", str(recipe), "--out", str(tmp_path / "s")]) == EXIT_VALIDATION
+        assert "cell (0,)" in capsys.readouterr().err
+
     def test_sweep_requires_config(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path)]) == EXIT_VALIDATION
 
@@ -296,6 +331,76 @@ axis1_values = 0 4
         meta = json.loads((out / "map.json").read_text())
         assert meta["kind"] == "power"
         assert meta["axes"][0]["path"] == "pulse.amplitude_pi"
+
+    def test_detuning_map_recipe_sweeps_its_own_axes(self, tmp_path):
+        cfg = write_ini(
+            tmp_path,
+            FAST_INI
+            + NO_PHONON_SWEEP
+            + """kind = detuning_map
+axis1_path = pulse.delta_omega_L_GHz
+axis1_values = 88
+axis2_path = system.delta_omega_c_GHz
+axis2_values = 0 5
+reduce = EtaC
+""",
+        )
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        lines = (out / "map.csv").read_text().splitlines()
+        assert lines[0] == "pulse.delta_omega_L_GHz,system.delta_omega_c_GHz,value"
+        base = load_config(cfg)
+        for line, dwc in zip(lines[1:], (0.0, 5.0)):
+            fom, _, _ = sweeps.run_cell(apply_override(base, "system.delta_omega_c_GHz", dwc))
+            assert line == cli._fmt(88.0) + "," + cli._fmt(dwc) + "," + cli._fmt(fom.eta_c)
+        assert json.loads((out / "map.json").read_text())["reduce"] == "EtaC"
+
+    def test_cavity_map_recipe_honours_its_reduction(self, tmp_path):
+        recipe = FAST_INI + NO_PHONON_SWEEP + """kind = cavity_map
+axis1_path = system.delta_omega_c_GHz
+axis1_values = -10 10
+axis2_path = pulse.amplitude_pi
+axis2_values = 3
+"""
+        maps = {}
+        for reduce in ("PiE", "EtaC"):
+            cfg = write_ini(tmp_path, recipe + f"reduce = {reduce}\n", name=f"{reduce}.ini")
+            out = tmp_path / reduce
+            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            assert json.loads((out / "map.json").read_text())["reduce"] == reduce
+            maps[reduce] = np.loadtxt(out / "map.csv", delimiter=",", skiprows=1)
+        base = load_config(cfg)
+        for pi_e, eta_c in zip(maps["PiE"], maps["EtaC"]):
+            # both polarization modes move with the cavity; the excitation
+            # mode sits 50 GHz below the collection mode by default
+            cell = apply_override(base, "system.delta_omega_c_GHz", pi_e[0])
+            cell = apply_override(cell, "system.delta_omega_e_GHz", pi_e[0] - 50.0)
+            beta = beta_collection(cell.system())
+            assert pi_e[2] != eta_c[2]
+            assert pi_e[2] == pytest.approx(eta_c[2] / beta, rel=1e-8)
+
+    def test_two_axis_csv_is_row_major(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            sweeps,
+            "_cell_value",
+            lambda config, reduce_kind, grid: config.delta_omega_c_GHz * 10 + config.delta_omega_L_GHz,
+        )
+        cfg = write_ini(
+            tmp_path,
+            """[sweep]
+kind = detuning_map
+axis1_path = system.delta_omega_c_GHz
+axis1_values = 1 2
+axis2_path = pulse.delta_omega_L_GHz
+axis2_values = 3 4 5
+""",
+        )
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        lines = (out / "map.csv").read_text().splitlines()
+        assert lines[0] == "system.delta_omega_c_GHz,pulse.delta_omega_L_GHz,value"
+        rows = [(a, b, a * 10 + b) for a in (1.0, 2.0) for b in (3.0, 4.0, 5.0)]
+        assert lines[1:] == [",".join(cli._fmt(x) for x in row) for row in rows]
 
 
 class TestCliBloch:

@@ -1,5 +1,10 @@
 """Cavity-filtered drive field: closed form against the convolution oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -81,6 +86,26 @@ class TestImpulseResponse:
         late = t > 25 * pulse.t_p  # past the short input pulse
         ratio = out.envelope[late] / ref[late]
         assert np.max(np.abs(ratio - ratio[0])) / np.abs(ratio[0]) < 5e-3
+
+
+class TestConvolution:
+    def test_matches_direct_convolution(self):
+        mode = CavityModeSpec(delta_omega_e=-50.0 * GHZ, kappa=25.0 * GHZ)
+        grid = TimeGrid(-30e-12, 60e-12, 1001)
+        pulse = PulseSpec(t_p=2e-12, delta_omega_L=88.0 * GHZ, amplitude=np.pi)
+        e_in = input_envelope(pulse, grid.times)
+        h = cavity_impulse_response(mode, grid.times - grid.times[0])
+        conv = np.convolve(e_in, h)[: grid.n_points] * grid.dt
+        conv -= 0.5 * grid.dt * (e_in * h[0] + e_in[0] * h)
+        out = intracavity_field_numeric(pulse, mode, grid).envelope
+        np.testing.assert_allclose(out, 0.5 * mode.kappa * conv, rtol=0, atol=1e-12 * np.abs(out).max())
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        code = "import sys, cavex; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 def compare_routes(pulse, mode, span_factor=16.0, ring=10.0, n_fine=2**17, stride=64):

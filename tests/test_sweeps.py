@@ -72,6 +72,26 @@ class TestPowerSweep:
         assert areas[0] == 0.0
 
 
+class TestMetadataFollowsTheSpec:
+    @pytest.fixture(autouse=True)
+    def stub_cells(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "_cell_value", lambda config, reduce_kind, grid: config.amplitude_pi)
+
+    def test_power_metadata_needs_an_amplitude_axis_reduced_to_pi_e(self):
+        cfg = blue_case(**FAST)
+        amplitude = SweepSpec(kind="power", axis1_values=(0.0, 4.0))
+        assert set(run_sweep(cfg, amplitude).metadata) >= {"beta_c", "eta_c", "intracavity_area_pi"}
+        width = SweepSpec(kind="power", axis1_path="pulse.t_p_ps", axis1_values=(3.0, 4.0))
+        eta_c = SweepSpec(kind="power", axis1_values=(0.0, 4.0), reduce="EtaC")
+        for spec in (width, eta_c):
+            assert "intracavity_area_pi" not in run_sweep(cfg, spec).metadata
+
+    def test_row_maxima_of_a_one_axis_detuning_map(self):
+        spec = SweepSpec(kind="detuning_map", axis1_values=(1.0, 3.0))
+        res = run_sweep(blue_case(**FAST), spec)
+        assert res.metadata["row_maxima"] == (1.0, 3.0)
+
+
 class TestRunCell:
     def test_detuned_cavity_rings_down_over_16_emission_lifetimes(self):
         cfg = blue_case(phonon_enabled=False, delta_omega_c_GHz=10.0, amplitude_pi=2.0, **FAST)
