@@ -33,7 +33,6 @@ from .phonons import PhononSpec, spectral_density, thermal_occupation, bath_rate
 from .dynamics import SystemSpec, Trajectory, hamiltonian_at, propagate
 from .observables import (
     FigureOfMerit,
-    population_inversion,
     purcell_rate,
     purcell_factor,
     beta_collection,

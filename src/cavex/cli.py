@@ -22,13 +22,8 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, load_sweep
 from .dynamics import PropagationError, propagate
-from .observables import TruncatedTrajectoryError, bloch_trajectory
-from .pulses import (
-    IntracavityField,
-    TimeGrid,
-    input_envelope,
-    intracavity_field_numeric,
-)
+from .observables import bloch_trajectory
+from .pulses import IntracavityField, TimeGrid, input_envelope, intracavity_field_numeric
 from .sweeps import SweepCellError, fock_convergence, run_cell, run_sweep
 
 EXIT_OK = 0
@@ -70,16 +65,7 @@ def _trajectory_rows(traj, system):
         )
 
 
-TRAJECTORY_HEADER = (
-    "t_ps",
-    "rho_ee",
-    "photon_number",
-    "sx",
-    "sy",
-    "sz",
-    "field_re",
-    "field_im",
-)
+TRAJECTORY_HEADER = ("t_ps", "rho_ee", "photon_number", "sx", "sy", "sz", "field_re", "field_im")
 
 
 def cmd_simulate(config, out_dir, formats):
@@ -287,6 +273,8 @@ def main(argv=None):
         if args.command == "sweep":
             if not args.config:
                 raise ConfigError("sweep: --config with a [sweep] section is required")
+            if args.workers < 1:
+                raise ConfigError(f"--workers: must be at least 1, got {args.workers}")
             spec = load_sweep(args.config)
             return cmd_sweep(config, spec, out_dir, formats, args.workers)
         if args.command == "convergence":
@@ -302,10 +290,8 @@ def _exit_code(exc):
     by the error that made it fail."""
     if isinstance(exc, SweepCellError):
         exc = exc.__cause__
-    # before ValueError: TruncatedTrajectoryError and LinAlgError derive from it
-    if isinstance(exc, (TruncatedTrajectoryError, np.linalg.LinAlgError)):
-        return EXIT_NUMERICAL
-    return EXIT_VALIDATION if isinstance(exc, ValueError) else EXIT_NUMERICAL
+    numerical = isinstance(exc, np.linalg.LinAlgError)  # a ValueError too
+    return EXIT_VALIDATION if isinstance(exc, ValueError) and not numerical else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

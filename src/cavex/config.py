@@ -242,9 +242,8 @@ class SweepSpec:
         return tuple((path, tuple(float(v) for v in values)) for path, values in axes)
 
 
-def _parse_values(raw):
-    vals = tuple(float(x) for x in raw.replace(",", " ").split())
-    return vals
+def _parse_values(key, raw):
+    return tuple(_coerce(float, x, f"sweep.{key}") for x in raw.replace(",", " ").split())
 
 
 def load_sweep(path):
@@ -261,7 +260,7 @@ def load_sweep(path):
     for key, raw in parser["sweep"].items():
         if key not in SweepSpec.__dataclass_fields__:
             raise ConfigError(f"sweep.{key}: unknown sweep key")
-        kwargs[key] = _parse_values(raw) if key in lists else raw
+        kwargs[key] = _parse_values(key, raw) if key in lists else raw
     return SweepSpec(**kwargs)
 
 

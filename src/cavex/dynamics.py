@@ -14,13 +14,20 @@ the upper mode, plateau on the lower).
 Dissipation: kappa D[a] for collection-mode leakage, gamma_bg D[sigma-] for
 background decay, and a time-local non-secular Bloch-Redfield dissipator in
 the instantaneous eigenbasis of H(t) with coupling A = sigma+ sigma-.
+
+One Generator per SystemSpec holds L0 and the drive superoperators; the
+emitted photon count is part of the state, and the ring-down tail is closed.
 """
 
 import warnings
 from dataclasses import dataclass, field as _dfield
+from functools import lru_cache
 
 import numpy as np
+import scipy.sparse
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm, lu_factor, lu_solve
+from scipy.sparse.linalg import expm_multiply
 
 from .observables import purcell_rate
 from .phonons import bath_rate
@@ -63,45 +70,67 @@ class Trajectory:
     photon_number: np.ndarray = _dfield(repr=False)
     excited_pop: np.ndarray = _dfield(repr=False)
     field: IntracavityField = _dfield(repr=False)  # the drive it was propagated under
+    photons_out: float  # kappa * integral of <a^dag a> from grid.t_start to infinity
 
 
 def ringdown_grid(system, field, n_points):
-    """The field window extended by 16 emission lifetimes, so the collection
-    mode has fully rung down by the last sample."""
+    """Output grid: the field window extended by 16 emission lifetimes, so
+    the samples show the collection mode ringing down."""
     tail = 16.0 / system.emission_rate
     return TimeGrid(field.grid.t_start, field.grid.t_end + tail, n_points)
 
 
-class _Operators:
-    """Cached operator set for one SystemSpec."""
+class Generator:
+    """Superoperators on y = [vec(rho), photons], vec(A rho B) = kron(A, B.T)
+    vec(rho).  ``terms`` stacks L0 and the parts multiplying Omega and
+    conj(Omega) as a sparse matrix: unpinned BLAS threads the dense product."""
 
     def __init__(self, system):
         space = system.hilbert
-        self.a = annihilation(space)
-        self.ad = self.a.conj().T
-        self.sm = sigma_minus(space)
-        self.sp = self.sm.conj().T
-        self.n_op = self.ad @ self.a
-        self.pop = self.sp @ self.sm
-        self.h_static = system.delta_omega_c * self.n_op + system.g * (
-            self.ad @ self.sm + self.a @ self.sp
-        )
+        eye, a, sm = np.eye(space.dim), annihilation(space), sigma_minus(space)
+        ad, self.sm, self.sp = a.conj().T, sm, sm.conj().T
+        self.pop, self.n_op = self.sp @ sm, ad @ a
+        self.h0 = system.delta_omega_c * self.n_op + system.g * (ad @ sm + a @ self.sp)
+
+        def commutator(x):  # rho -> -i [x, rho]
+            return -1j * (np.kron(x, eye) - np.kron(eye, x.T))
+
+        def lindblad(c):  # rho -> c rho c^dag - {c^dag c, rho} / 2
+            cdc = c.conj().T @ c
+            return np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+
+        d2 = len(eye) ** 2
+        terms = np.zeros((3, d2 + 1, d2 + 1), dtype=complex)
+        l0 = commutator(self.h0) + system.kappa * lindblad(a) + system.gamma_bg * lindblad(sm)
+        terms[0, :d2, :d2] = l0
+        terms[0, d2, :d2] = system.kappa * self.n_op.T.ravel()  # photons' = kappa <n>
+        terms[1:, :d2, :d2] = 0.5 * commutator(self.sp), 0.5 * commutator(sm)
+        self.terms = scipy.sparse.csr_array(terms.reshape(3 * (d2 + 1), d2 + 1))
+        for x in (self.sm, self.sp, self.pop, self.n_op, self.h0, self.terms.data):
+            x.flags.writeable = False  # shared by every caller of ``generator``
+
+    def hamiltonian(self, omega):
+        return self.h0 + 0.5 * omega * self.sp + 0.5 * np.conj(omega) * self.sm
 
 
-def hamiltonian_at(system, field, t, _ops=None):
+@lru_cache(maxsize=2)
+def generator(system):
+    """The Generator of a SystemSpec, built once and shared."""
+    return Generator(system)
+
+
+def hamiltonian_at(system, field, t):
     """H(t)/hbar as a dense Hermitian matrix."""
-    ops = _ops or _Operators(system)
-    omega = np.conj(field.at(t))
-    return ops.h_static + 0.5 * omega * ops.sp + 0.5 * np.conj(omega) * ops.sm
+    return generator(system).hamiltonian(np.conj(field.at(t)))
 
 
-def redfield_dissipator(system, phonon, h_now, _ops=None, secular=False, _warned=None):
+def redfield_dissipator(system, phonon, h_now, secular=False, _warned=None):
     """Action of the phonon dissipator built from the instantaneous eigenbasis.
 
-    Returns a function rho -> d(rho)/dt contribution.  With coupling
-    A = sigma+ sigma- and one-sided rates gamma(w) at the eigenfrequency
-    differences, the non-secular form uses Lambda = sum_{mn} A_mn
-    gamma(w_nm)/2 |m><n| (in the eigenbasis):
+    Returns a function rho -> d(rho)/dt contribution, linear in rho.  With
+    coupling A = sigma+ sigma- and one-sided rates gamma(w) at the
+    eigenfrequency differences, the non-secular form uses
+    Lambda = sum_{mn} A_mn gamma(w_nm)/2 |m><n| (in the eigenbasis):
 
         D rho = Lambda rho A + A rho Lambda^dag - A Lambda rho
                 - rho Lambda^dag A
@@ -109,23 +138,19 @@ def redfield_dissipator(system, phonon, h_now, _ops=None, secular=False, _warned
     which preserves Hermiticity exactly.  The secular variant keeps only
     population transfer between eigenstates (rate-equation limit).
     """
-    ops = _ops or _Operators(system)
     if not phonon.enabled:
         return lambda rho: 0.0
+    pop = generator(system).pop
 
     ev, vec = np.linalg.eigh(h_now)
     w_nm = ev[None, :] - ev[:, None]  # element [m, n] = E_n - E_m
     if _warned is not None and not _warned[0]:
         off = ~np.eye(len(ev), dtype=bool)
         if np.any(np.abs(w_nm[off]) < 1e-6 * system.kappa):
-            warnings.warn(
-                "near-degenerate instantaneous eigenbasis; Redfield rates "
-                "remain well-defined by continuity",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            warnings.warn("near-degenerate instantaneous eigenbasis; Redfield rates remain "
+                          "well-defined by continuity", RuntimeWarning, stacklevel=2)
             _warned[0] = True
-    a_eig = vec.conj().T @ ops.pop @ vec
+    a_eig = vec.conj().T @ pop @ vec
     gam = bath_rate(phonon, w_nm)
 
     if secular:
@@ -133,21 +158,16 @@ def redfield_dissipator(system, phonon, h_now, _ops=None, secular=False, _warned
         # eigenbasis coherences at the mean outgoing rate
         w_rates = gam * np.abs(a_eig) ** 2
         out = w_rates.sum(axis=0)  # total leaving each eigenstate
+        deph = 0.5 * (out[:, None] + out[None, :])  # its diagonal is out itself
 
         def apply_secular(rho):
             r_eig = vec.conj().T @ rho @ vec
-            pops = np.real(np.diag(r_eig))
-            dpop = w_rates @ pops - out * pops
-            d_eig = np.diag(dpop).astype(complex)
-            deph = 0.5 * (out[:, None] + out[None, :])
-            d_eig -= deph * (r_eig - np.diag(np.diag(r_eig)))
-            return vec @ d_eig @ vec.conj().T
+            return vec @ (np.diag(w_rates @ np.diag(r_eig)) - deph * r_eig) @ vec.conj().T
 
         return apply_secular
 
     lam = vec @ (a_eig * (0.5 * gam)) @ vec.conj().T
     lam_d = lam.conj().T
-    pop = ops.pop
 
     def apply(rho):
         return lam @ rho @ pop + pop @ rho @ lam_d - pop @ lam @ rho - rho @ lam_d @ pop
@@ -156,58 +176,69 @@ def redfield_dissipator(system, phonon, h_now, _ops=None, secular=False, _warned
 
 
 def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=False):
-    """Integrate the master equation over the grid and return a Trajectory.
+    """Integrate the master equation; return a Trajectory sampled on grid.
 
-    grid defaults to ``ringdown_grid`` with 600 points.  tol is the rtol of
-    the adaptive RK45 integrator; atol is set two decades tighter because
-    most matrix elements are far below unit scale during the ring-down tail.
+    grid (default: ``ringdown_grid``, 600 points) only sets the samples.  RK45
+    covers the drive window to ``field.grid.t_end`` at rtol = tol, atol two
+    decades tighter (most matrix elements are far below unit scale); past it
+    the tail is closed exactly, and ``photons_out`` counts the whole ring-down.
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol must lie in [1e-12, 1e-4]")
-    ops = _Operators(system)
-    dim = system.hilbert.dim
-    if rho0 is None:
-        rho0 = ground_state(system.hilbert)
-    if grid is None:
-        grid = ringdown_grid(system, field, 600)
-
-    kappa = system.kappa
-    gamma_bg = system.gamma_bg
-    a, ad, sm, sp = ops.a, ops.ad, ops.sm, ops.sp
-    n_op, pop = ops.n_op, ops.pop
+    gen, dim, d2 = generator(system), system.hilbert.dim, system.hilbert.dim ** 2
+    rho0 = ground_state(system.hilbert) if rho0 is None else rho0
+    grid = ringdown_grid(system, field, 600) if grid is None else grid
     warned = [False]
 
-    def rhs(t, y):
-        rho = y.reshape(dim, dim)
-        h = hamiltonian_at(system, field, t, _ops=ops)
-        drho = -1j * (h @ rho - rho @ h)
-        drho += kappa * (a @ rho @ ad) - 0.5 * kappa * (n_op @ rho + rho @ n_op)
-        if gamma_bg:
-            drho += gamma_bg * (sm @ rho @ sp) - 0.5 * gamma_bg * (pop @ rho + rho @ pop)
+    def drift(omega, y, dis=None):
+        l0_y, plus_y, minus_y = (gen.terms @ y).reshape(3, d2 + 1)
+        dy = l0_y + omega * plus_y + np.conj(omega) * minus_y
         if phonon.enabled:
-            dis = redfield_dissipator(
-                system, phonon, h, _ops=ops, secular=secular, _warned=warned
-            )
-            drho += dis(rho)
-        return drho.ravel()
+            dis = dis or redfield_dissipator(
+                system, phonon, gen.hamiltonian(omega), secular, warned)
+            dy[:d2] += dis(y[:d2].reshape(dim, dim)).ravel()
+        return dy
 
-    # cap the step so the adaptive integrator cannot leap over the whole
-    # pulse window: a step whose stage points all land where the field is
-    # zero reports zero local error and would be accepted
-    max_step = (field.grid.t_end - field.grid.t_start) / 64.0
-    sol = solve_ivp(
-        rhs,
-        (grid.t_start, grid.t_end),
-        rho0.ravel(),
-        method="RK45",
-        rtol=tol,
-        atol=1e-2 * tol,
-        t_eval=grid.times,
-        max_step=max_step,
-    )
-    if not sol.success:
-        raise PropagationError(f"integrator failed: {sol.message}")
-    states = np.ascontiguousarray(sol.y.T).reshape(-1, dim, dim)
+    def rhs(t, y):
+        return drift(np.conj(field.at(t)), y)
+
+    times = grid.times
+    states = np.empty((len(times), dim, dim), dtype=complex)
+    t_w = max(field.grid.t_end, grid.t_start)  # the drive is zero from here on
+    n_in = int(np.searchsorted(times, t_w))  # samples before t_w; the tail has the rest
+    y = np.append(rho0.ravel(), 0.0).astype(complex)
+    if t_w > grid.t_start:
+        # cap the step so the adaptive integrator cannot leap over the whole
+        # pulse window: a step whose stage points all land where the field is
+        # zero reports zero local error and would be accepted
+        max_step = (field.grid.t_end - field.grid.t_start) / 64.0
+        sol = solve_ivp(rhs, (grid.t_start, t_w), y, method="RK45", rtol=tol, atol=1e-2 * tol,
+                        t_eval=np.append(times[:n_in], t_w), max_step=max_step)
+        if not sol.success:
+            raise PropagationError(f"integrator failed: {sol.message}")
+        states[:n_in] = sol.y[:d2, :n_in].T.reshape(-1, dim, dim)
+        y = sol.y[:, -1]
+
+    # the constant tail generator, column by column from the same drift
+    dis = redfield_dissipator(system, phonon, gen.h0, secular, warned)
+    l_tail = np.column_stack([drift(0.0, e, dis) for e in np.eye(d2 + 1, dtype=complex)])
+    l_rho, flux = l_tail[:d2, :d2], l_tail[d2, :d2]
+    # L_T rho_ss = 0, Tr rho_ss = 1 and L_T x = rho_ss - rho_T, Tr x = 0: the
+    # rho_00 row is redundant (L_T preserves the trace), so Tr takes its place
+    lu = lu_factor(np.vstack([np.eye(dim).ravel(), l_rho[1:]]))
+    rho_ss = lu_solve(lu, np.eye(d2)[0])
+    n_ss = (flux @ rho_ss).real / system.kappa
+    if not abs(n_ss) <= 1e-10:  # NaN too: a singular L_T has no unique steady state
+        raise PropagationError(f"steady state holds {n_ss:.2e} photons: no finite yield")
+    x = lu_solve(lu, np.append(0.0, (rho_ss - y[:d2])[1:]))
+    photons_out = float(y[d2].real + (flux @ x).real)
+
+    if n_in < len(times):
+        # samples past the window: powers of P = expm(L_T dt), written in place
+        tail, power = states[n_in:].reshape(-1, d2), expm(l_rho * grid.dt)
+        tail[0] = expm_multiply(l_rho * (times[n_in] - t_w), y[:d2])
+        for k in range(1, len(tail)):
+            np.matmul(power, tail[k - 1], out=tail[k])
 
     trace_drift = np.abs(np.einsum("tii->t", states).real - 1.0).max()
     if trace_drift > 1e-8 and tol <= 1e-8:
@@ -216,6 +247,5 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=Fal
     if final_min_eig < -1e-6:
         raise PropagationError(f"state eigenvalue {final_min_eig:.2e} below -1e-6")
 
-    photon = np.einsum("tij,ji->t", states, n_op).real
-    excited = np.einsum("tij,ji->t", states, pop).real
-    return Trajectory(grid, states, photon, excited, field)
+    photon, excited = (np.einsum("tij,ji->t", states, op).real for op in (gen.n_op, gen.pop))
+    return Trajectory(grid, states, photon, excited, field, photons_out)

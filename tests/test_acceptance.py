@@ -12,7 +12,6 @@ from scipy.signal import find_peaks
 
 from cavex.config import blue_case, red_case
 from cavex.dynamics import propagate
-from cavex.observables import population_inversion
 from cavex.phonons import bath_rate
 from cavex.pulses import (
     CavityModeSpec,

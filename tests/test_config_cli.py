@@ -15,7 +15,8 @@ from cavex.config import (
     load_config,
     load_sweep,
 )
-from cavex.observables import TruncatedTrajectoryError, beta_collection
+from cavex.dynamics import PropagationError
+from cavex.observables import beta_collection
 
 GHZ = 2 * np.pi * 1e9
 
@@ -184,6 +185,15 @@ axis1_values = 0 2 4
         with pytest.raises(ConfigError, match="axis2_path"):
             load_sweep(orphan)
 
+    @pytest.mark.parametrize("key", ["axis1_values", "axis2_values", "amplitude_grid"])
+    def test_non_numeric_value_names_its_key(self, tmp_path, key):
+        lists = {"axis1_values": "1 2", "axis2_values": "1 2", "amplitude_grid": "1 2", key: "1 x"}
+        body = "[sweep]\naxis2_path = pulse.amplitude_pi\n"
+        path = write_ini(tmp_path, body + "".join(f"{k} = {v}\n" for k, v in lists.items()))
+        with pytest.raises(ConfigError, match=f"sweep.{key}: .*'x'"):
+            load_sweep(path)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+
     def test_load_sweep_missing_section(self, tmp_path):
         path = write_ini(tmp_path, "[pulse]\namplitude_pi = 1\n")
         with pytest.raises(ConfigError, match="sweep"):
@@ -260,7 +270,7 @@ class TestCliErrors:
         assert main(["simulate", "--config", str(cfg)]) == EXIT_VALIDATION
 
     @pytest.mark.parametrize(
-        "error", [TruncatedTrajectoryError("rings down late"), np.linalg.LinAlgError("eigh")]
+        "error", [PropagationError("the tail has no finite yield"), np.linalg.LinAlgError("eigh")]
     )
     def test_numerical_failures_exit_numerical(self, tmp_path, monkeypatch, error):
         def fail(config):
@@ -284,6 +294,14 @@ class TestCliErrors:
         with pytest.raises(SystemExit) as exit_info:
             main(["simulate", "--workers", "7"])
         assert exit_info.value.code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_a_config_error(self, tmp_path, capsys, workers):
+        recipe = write_ini(tmp_path, FAST_INI + "[sweep]\nkind = power\naxis1_values = 0\n")
+        code = main(["sweep", "--config", str(recipe), "--out", str(tmp_path / "s"), "--workers", workers])
+        assert code == EXIT_VALIDATION
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "map.csv").exists()
 
     def test_failed_sweep_cell_exits_with_its_cause(self, tmp_path, capsys):
         # a field grid this coarse fails validation inside the cell; the

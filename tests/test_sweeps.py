@@ -1,5 +1,7 @@
 """Sweep engine: determinism, metadata, refinement, convergence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,23 @@ class TestRunCell:
         _, _, traj = run_cell(cfg)
         t_end = cfg.field_grid().t_end + 16.0 / cfg.system().emission_rate
         assert traj.grid.t_end == pytest.approx(t_end, rel=1e-12)
+
+    def test_pi_e_does_not_depend_on_output_sampling(self):
+        # a figS1blue corner (dwc = +28.8 GHz, the excitation mode moved
+        # with it): a trapezoid over 2000 samples misses about 1e-4 of its
+        # Rabi-modulated flux, while the flux integrated as state does not
+        # see the output grid at all
+        cfg = blue_case(
+            t_p_ps=4.4,
+            delta_omega_L_GHz=35.0,
+            delta_omega_c_GHz=28.8,
+            delta_omega_e_GHz=-21.2,
+            amplitude_pi=10.5,
+            phonon_enabled=False,
+            n_field_points=4096,
+        )
+        pi_e = [run_cell(replace(cfg, n_traj_points=n))[0].pi_e for n in (600, 2000, 32000)]
+        assert max(pi_e) - min(pi_e) <= 1e-12
 
 
 class TestDeterminismAndWorkers:
