@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cavex.config import apply_override, load_config
 from cavex.pulses import (
     CavityModeSpec,
     FieldShapeError,
@@ -25,6 +26,7 @@ from cavex.pulses import (
 )
 
 GHZ = 2 * np.pi * 1e9
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def relative_l2(a, b):
@@ -97,6 +99,8 @@ class TestConvolution:
         h = cavity_impulse_response(mode, grid.times - grid.times[0])
         conv = np.convolve(e_in, h)[: grid.n_points] * grid.dt
         conv -= 0.5 * grid.dt * (e_in * h[0] + e_in[0] * h)
+        lam = -0.5 * mode.kappa + 1j * mode.delta_omega_e
+        conv += grid.dt**2 / 12 * (lam * e_in - np.gradient(e_in, grid.dt, edge_order=2))
         out = intracavity_field_numeric(pulse, mode, grid).envelope
         np.testing.assert_allclose(out, 0.5 * mode.kappa * conv, rtol=0, atol=1e-12 * np.abs(out).max())
 
@@ -148,6 +152,21 @@ class TestAnalyticNumericEquivalence:
             err = relative_l2(normalized_shape(ana), normalized_shape(num))
             worst = max(worst, err)
         assert worst < 1e-6
+
+    @pytest.mark.parametrize(
+        "recipe, dwl, dwe",
+        [("fig2c", 88.0, -50.0), ("fig3a", 120.0, -100.0), ("fig4", -120.0, 100.0), ("figS1blue", 0.0, 0.0)],
+    )
+    def test_default_grid_matches_to_1e7_of_peak(self, recipe, dwl, dwe):
+        # the end-corrected quadrature is fourth-order: 8192 points carry
+        # the convolution well below the solver's own error
+        cfg = apply_override(load_config(CONFIGS / f"{recipe}.ini"), "pulse.delta_omega_L_GHz", dwl)
+        cfg = apply_override(cfg, "system.delta_omega_e_GHz", dwe)
+        pulse, mode, grid = cfg.pulse(), cfg.excitation_mode(), cfg.field_grid()
+        assert grid.n_points == 8192
+        ana = intracavity_field_analytic(pulse, mode, grid).envelope
+        num = intracavity_field_numeric(pulse, mode, grid).envelope
+        assert np.abs(num - ana).max() <= 1e-7 * np.abs(ana).max()
 
     def test_analytic_requires_sech(self):
         pulse = PulseSpec(shape="Gaussian", t_p=4.2e-12)
@@ -205,6 +224,44 @@ class TestFieldProperties:
         field = IntracavityField(grid, np.ones(grid.n_points, dtype=complex))
         assert field.at(grid.t_start - 1e-12) == 0.0
         assert field.at(grid.t_end + 1e-12) == 0.0
+
+
+class TestInterpolation:
+    def test_reproduces_a_cubic_at_interior_points(self):
+        grid = TimeGrid(-1.0, 2.0, 31)
+        coef = [1.0 + 2.0j, -0.5, 0.3 - 1.0j, 0.7j]
+        field = IntracavityField(grid, np.polyval(coef[::-1], grid.times))
+        # the two intervals at each end are linear
+        t = np.random.default_rng(7).uniform(grid.t_start + 2 * grid.dt, grid.t_end - 3 * grid.dt, 200)
+        got = np.array([field.at(x) for x in t])
+        exact = np.polyval(coef[::-1], t)
+        assert np.abs(got - exact).max() <= 1e-12 * np.abs(field.envelope).max()
+
+    def test_value_and_slope_continuous_across_samples(self):
+        grid = TimeGrid(0.0, 63.0, 64)  # dt = 1
+        rng = np.random.default_rng(11)
+        field = IntracavityField(grid, rng.normal(size=64) + 1j * rng.normal(size=64))
+        h = 1e-6
+        for k in range(3, 61):
+            t = grid.times[k]
+            assert field.at(t) == pytest.approx(field.envelope[k], abs=1e-12)
+            left = (field.at(t) - field.at(t - h)) / h
+            right = (field.at(t + h) - field.at(t)) / h
+            assert abs(field.at(t + h) - field.at(t - h)) < 1e-4
+            assert abs(right - left) < 1e-3
+
+    def test_error_falls_fourth_order_with_dt(self):
+        def sech_field(n):
+            grid = TimeGrid(-16.0, 16.0, n)
+            return IntracavityField(grid, np.exp(2j * grid.times) / np.cosh(grid.times))
+
+        t = np.linspace(-10.0, 10.0, 1001) + 1e-3
+        exact = np.exp(2j * t) / np.cosh(t)
+        errs = [
+            np.abs(np.array([field.at(x) for x in t]) - exact).max()
+            for field in (sech_field(257), sech_field(513))
+        ]
+        assert errs[0] >= 12.0 * errs[1]
 
 
 class TestGridValidation:

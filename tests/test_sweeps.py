@@ -1,12 +1,13 @@
 """Sweep engine: determinism, metadata, refinement, convergence."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cavex import sweeps
-from cavex.config import SweepSpec, apply_override, blue_case, red_case
+from cavex.config import SweepSpec, apply_override, blue_case, load_config, red_case
 from cavex.pulses import intracavity_field_numeric, pulse_area
 from cavex.sweeps import (
     SweepCellError,
@@ -21,6 +22,7 @@ from cavex.sweeps import (
 )
 
 FAST = dict(n_traj_points=600, n_field_points=4096)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestSweepResult:
@@ -117,6 +119,36 @@ class TestRunCell:
         )
         pi_e = [run_cell(replace(cfg, n_traj_points=n))[0].pi_e for n in (600, 2000, 32000)]
         assert max(pi_e) - min(pi_e) <= 1e-12
+
+
+class TestAgainstFilterEquationReference:
+    """pi_e against an independent integration that carries the cavity
+    filter equation as state (no field grid, no interpolation), DOP853 at
+    rtol 1e-10; the values are frozen here."""
+
+    @pytest.mark.parametrize(
+        "recipe, overrides, reference",
+        [
+            ("fig2c", {"pulse.amplitude_pi": 10.0}, 0.9592952576),
+            ("fig3a", {"pulse.delta_omega_L_GHz": 60.0, "pulse.amplitude_pi": 6.0}, 0.9005013055),
+            (
+                "default",
+                {
+                    "phonon.enabled": False,
+                    "system.delta_omega_c_GHz": 3.0,
+                    "pulse.amplitude_pi": 9.0,
+                    "solver.tol": 1e-12,
+                },
+                0.9844419820,
+            ),
+        ],
+        ids=["fig2c-blue-phonon", "fig3a-phonon-free", "default-phonon-free-tight"],
+    )
+    def test_pi_e_within_1e7_of_reference(self, recipe, overrides, reference):
+        cfg = load_config(CONFIGS / f"{recipe}.ini")
+        for path, value in overrides.items():
+            cfg = apply_override(cfg, path, value)
+        assert abs(run_cell(cfg)[0].pi_e - reference) <= 1e-7
 
 
 class TestDeterminismAndWorkers:

@@ -13,8 +13,16 @@ first three axis-2 values and the first two ``amplitude_grid`` points, sets
 recipe with the BLAS threads pinned to 1.  It writes the values of every
 ``map.csv`` to OUT.json as ``{recipe: {"header": [...], "rows": [...]}}``.
 
+For every recipe reduced to ``PiE`` or ``EtaC``, ``run`` also stores the
+``exact`` value of ``bench/reference.py`` (an independent integration that
+carries the cavity filter equation as state) for the cut map's largest
+cell, times ``beta_c`` for an ``EtaC`` map.
+
 ``compare`` prints, per recipe, the largest |difference| between the map
-values of two such files and the cell where it occurs.
+values of two such files and the cell where it occurs, then the value of
+each reference cell in both files next to its reference.  It exits 1 if any
+of those cells lies farther from its reference in AFTER than in BEFORE by
+more than 1e-9.
 """
 
 import argparse
@@ -29,6 +37,26 @@ from pathlib import Path
 
 CUTS = {"axis1_values": 2, "axis2_values": 3, "amplitude_grid": 2}
 SOLVER = {"n_field_points": "4096", "n_traj_points": "600"}
+DRIFT = 1e-9  # how much farther from its reference a cell may move
+
+# run with the checkout's src/ and bench/ on the path: argv is the cut
+# recipe and the cell's {axis path: value}; prints the reference map value,
+# or nothing for a recipe reduced to neither PiE nor EtaC
+REFERENCE = """
+import json, sys
+import reference
+from cavex import apply_override, beta_collection, load_config, load_sweep
+cfg, spec = load_config(sys.argv[1]), load_sweep(sys.argv[1])
+if spec.reduce not in ("PiE", "EtaC"):
+    sys.exit()
+offset = cfg.delta_omega_e_GHz - cfg.delta_omega_c_GHz
+for path, value in json.loads(sys.argv[2]).items():
+    cfg = apply_override(cfg, path, value)
+    if spec.kind == "cavity_map" and path == "system.delta_omega_c_GHz":
+        cfg = apply_override(cfg, "system.delta_omega_e_GHz", cfg.delta_omega_c_GHz + offset)
+scale = beta_collection(cfg.system()) if spec.reduce == "EtaC" else 1.0
+print(repr(scale * reference.pi_e(cfg)[0]))
+"""
 
 
 def cut_recipe(src, dst):
@@ -50,7 +78,7 @@ def cut_recipe(src, dst):
 
 
 def run(root, out):
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(root / "src"), str(root / "bench"))))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     maps = {}
@@ -67,7 +95,16 @@ def run(root, out):
                 sys.exit(f"{recipe.name}: cavex sweep exited {done.returncode}\n{done.stderr}")
             with open(out_dir / "map.csv", encoding="utf-8") as fh:
                 header, *rows = csv.reader(fh)
-            maps[recipe.stem] = {"header": header, "rows": [[float(x) for x in row] for row in rows]}
+            rows = [[float(x) for x in row] for row in rows]
+            maps[recipe.stem] = {"header": header, "rows": rows}
+            cell = max(rows, key=lambda row: row[-1])[:-1]
+            arg = json.dumps(dict(zip(header, cell)))
+            done = subprocess.run([sys.executable, "-c", REFERENCE, str(ini), arg],
+                                  cwd=root, env=env, capture_output=True, text=True)
+            if done.returncode != 0:
+                sys.exit(f"{recipe.name}: reference exited {done.returncode}\n{done.stderr}")
+            if done.stdout.strip():
+                maps[recipe.stem]["reference"] = {"cell": cell, "value": float(done.stdout)}
             print(f"{recipe.stem}: {len(rows)} cells", file=sys.stderr)
     Path(out).write_text(json.dumps(maps, indent=1) + "\n", encoding="utf-8")
 
@@ -87,6 +124,27 @@ def compare(before, after):
         diff, row = max((abs(ra[-1] - rb[-1]), ra) for ra, rb in zip(rows_a, rows_b))
         cell = ", ".join(f"{p}={v:g}" for p, v in zip(a[name]["header"], row[:-1]))
         print(f"{name:12s} {len(rows_a):5d} {diff:11.3e}  {cell}")
+    print(f"\n{'recipe':12s} {'before':>13s} {'after':>13s} {'reference':>13s} {'after-ref':>10s}  cell")
+    drifted = []
+    for name in sorted(b):
+        if "reference" not in b[name] or name not in a:
+            continue
+        ref = b[name]["reference"]
+        key = tuple(ref["cell"])
+        va = {tuple(r[:-1]): r[-1] for r in a[name]["rows"]}.get(key)
+        if va is None:
+            print(f"{name:12s} reference cell missing from {before}")
+            continue
+        vb = {tuple(r[:-1]): r[-1] for r in b[name]["rows"]}[key]
+        vr = ref["value"]
+        cell = ", ".join(f"{p}={v:g}" for p, v in zip(b[name]["header"], key))
+        print(f"{name:12s} {va:13.10f} {vb:13.10f} {vr:13.10f} {vb - vr:+10.2e}  {cell}")
+        if abs(vb - vr) > abs(va - vr) + DRIFT:
+            drifted.append(name)
+    if drifted:
+        print(f"moved away from the reference by more than {DRIFT:g}: {', '.join(drifted)}")
+        return 1
+    return 0
 
 
 def main():
@@ -102,7 +160,7 @@ def main():
     if args.command == "run":
         run(args.root.resolve(), args.out)
     else:
-        compare(args.before, args.after)
+        sys.exit(compare(args.before, args.after))
 
 
 if __name__ == "__main__":
