@@ -12,6 +12,14 @@ second, frequency-split mode (the excitation mode).  It provides:
 - parameter-sweep machinery and a command line interface.
 """
 
+import os
+
+# one BLAS thread: no matrix in cavex is larger than 65x65, and threaded
+# products stall when sweep workers share the cores
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"
 
 from .specfun import gauss_2f1_11, sech

@@ -31,16 +31,9 @@ EXIT_NUMERICAL = 1
 EXIT_VALIDATION = 2
 
 
-def _fmt(x):
-    """Scientific notation with 9 significant digits."""
-    return f"{x:.8e}"
-
-
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    """One row per line, scientific notation with 9 significant digits."""
+    np.savetxt(path, rows, fmt="%.8e", delimiter=",", header=",".join(header), comments="")
 
 
 def _write_json(path, payload):
@@ -49,20 +42,14 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _trajectory_rows(traj, system):
-    bloch = bloch_trajectory(traj, system.hilbert)
-    for i, t in enumerate(traj.grid.times):
-        env = traj.field.at(t)
-        yield (
-            t * 1e12,
-            traj.excited_pop[i],
-            traj.photon_number[i],
-            bloch[i, 0],
-            bloch[i, 1],
-            bloch[i, 2],
-            env.real,
-            env.imag,
-        )
+def _trajectory_rows(traj, bloch):
+    """The (n, 8) array of TRAJECTORY_HEADER columns; bloch is the trajectory's
+    Bloch series."""
+    times = traj.grid.times
+    env = np.array([traj.field.at(t) for t in times], dtype=complex)
+    return np.column_stack(
+        [times * 1e12, traj.excited_pop, traj.photon_number, bloch, env.real, env.imag]
+    )
 
 
 TRAJECTORY_HEADER = ("t_ps", "rho_ee", "photon_number", "sx", "sy", "sz", "field_re", "field_im")
@@ -70,13 +57,9 @@ TRAJECTORY_HEADER = ("t_ps", "rho_ee", "photon_number", "sx", "sy", "sz", "field
 
 def cmd_simulate(config, out_dir, formats):
     fom, area_pi, traj = run_cell(config)
-    system = config.system()
     if "csv" in formats:
-        _write_csv(
-            out_dir / "trajectory.csv",
-            TRAJECTORY_HEADER,
-            _trajectory_rows(traj, system),
-        )
+        bloch = bloch_trajectory(traj, config.system().hilbert)
+        _write_csv(out_dir / "trajectory.csv", TRAJECTORY_HEADER, _trajectory_rows(traj, bloch))
     if "json" in formats:
         _write_json(
             out_dir / "summary.json",
@@ -137,11 +120,8 @@ def cmd_bloch(config, mechanism, areas_pi, out_dir, formats):
         bloch = bloch_trajectory(traj, system.hilbert)
         tag = f"{mechanism.lower()}_area{area:g}pi"
         if "csv" in formats:
-            _write_csv(
-                out_dir / f"bloch_{tag}.csv",
-                TRAJECTORY_HEADER,
-                _trajectory_rows(traj, system),
-            )
+            rows = _trajectory_rows(traj, bloch)
+            _write_csv(out_dir / f"bloch_{tag}.csv", TRAJECTORY_HEADER, rows)
         endpoints.append(
             {
                 "area_pi": float(area),
@@ -165,10 +145,8 @@ def cmd_sweep(config, spec, out_dir, formats, workers):
     result = run_sweep(config, spec, workers)
     if "csv" in formats:
         header = tuple(path for path, _ in result.axes) + ("value",)
-        rows = (
-            tuple(values[i] for (_, values), i in zip(result.axes, idx)) + (result.values[idx],)
-            for idx in np.ndindex(result.values.shape)
-        )
+        points = np.meshgrid(*(values for _, values in result.axes), indexing="ij")
+        rows = np.column_stack([p.ravel() for p in points] + [result.values.ravel()])
         _write_csv(out_dir / "map.csv", header, rows)
     if "json" in formats:
         meta = dict(result.metadata)
@@ -206,7 +184,7 @@ def seed_check(config):
         and np.array_equal(traj_a.states, traj_b.states)
     )
     print(f"config_hash={small.hash()}")
-    print(f"pi_e={_fmt(fom_a.pi_e)} pulse_area_pi={_fmt(area_a)}")
+    print(f"pi_e={fom_a.pi_e:.8e} pulse_area_pi={area_a:.8e}")
     print(f"deterministic={identical}")
     return EXIT_OK if identical else EXIT_NUMERICAL
 

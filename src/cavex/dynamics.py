@@ -19,7 +19,6 @@ One Generator per SystemSpec holds L0 and the drive superoperators; the
 emitted photon count is part of the state, and the ring-down tail is closed.
 """
 
-import warnings
 from dataclasses import dataclass, field as _dfield
 from functools import lru_cache
 
@@ -124,7 +123,7 @@ def hamiltonian_at(system, field, t):
     return generator(system).hamiltonian(np.conj(field.at(t)))
 
 
-def redfield_dissipator(system, phonon, h_now, secular=False, _warned=None):
+def redfield_dissipator(system, phonon, h_now, secular=False):
     """Action of the phonon dissipator built from the instantaneous eigenbasis.
 
     Returns a function rho -> d(rho)/dt contribution, linear in rho.  With
@@ -132,11 +131,14 @@ def redfield_dissipator(system, phonon, h_now, secular=False, _warned=None):
     eigenfrequency differences, the non-secular form uses
     Lambda = sum_{mn} A_mn gamma(w_nm)/2 |m><n| (in the eigenbasis):
 
-        D rho = Lambda rho A + A rho Lambda^dag - A Lambda rho
-                - rho Lambda^dag A
+        D rho = Lambda rho A + A rho Lambda^dag - A Lambda rho - rho Lambda^dag A
+              = [Lambda rho - rho Lambda^dag, A]
 
-    which preserves Hermiticity exactly.  The secular variant keeps only
-    population transfer between eigenstates (rate-equation limit).
+    which preserves Hermiticity exactly.  Degenerate eigenvalues need no
+    care: Lambda = 1/2 sum_ab gamma(e_b - e_a) P_a A P_b depends only on the
+    eigenprojectors P_a, and gamma is smooth through zero.  The secular
+    variant keeps only population transfer between eigenstates
+    (rate-equation limit).
     """
     if not phonon.enabled:
         return lambda rho: 0.0
@@ -144,12 +146,6 @@ def redfield_dissipator(system, phonon, h_now, secular=False, _warned=None):
 
     ev, vec = np.linalg.eigh(h_now)
     w_nm = ev[None, :] - ev[:, None]  # element [m, n] = E_n - E_m
-    if _warned is not None and not _warned[0]:
-        off = ~np.eye(len(ev), dtype=bool)
-        if np.any(np.abs(w_nm[off]) < 1e-6 * system.kappa):
-            warnings.warn("near-degenerate instantaneous eigenbasis; Redfield rates remain "
-                          "well-defined by continuity", RuntimeWarning, stacklevel=2)
-            _warned[0] = True
     a_eig = vec.conj().T @ pop @ vec
     gam = bath_rate(phonon, w_nm)
 
@@ -170,7 +166,8 @@ def redfield_dissipator(system, phonon, h_now, secular=False, _warned=None):
     lam_d = lam.conj().T
 
     def apply(rho):
-        return lam @ rho @ pop + pop @ rho @ lam_d - pop @ lam @ rho - rho @ lam_d @ pop
+        z = lam @ rho - rho @ lam_d
+        return z @ pop - pop @ z
 
     return apply
 
@@ -188,14 +185,12 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=Fal
     gen, dim, d2 = generator(system), system.hilbert.dim, system.hilbert.dim ** 2
     rho0 = ground_state(system.hilbert) if rho0 is None else rho0
     grid = ringdown_grid(system, field, 600) if grid is None else grid
-    warned = [False]
 
     def drift(omega, y, dis=None):
         l0_y, plus_y, minus_y = (gen.terms @ y).reshape(3, d2 + 1)
         dy = l0_y + omega * plus_y + np.conj(omega) * minus_y
         if phonon.enabled:
-            dis = dis or redfield_dissipator(
-                system, phonon, gen.hamiltonian(omega), secular, warned)
+            dis = dis or redfield_dissipator(system, phonon, gen.hamiltonian(omega), secular)
             dy[:d2] += dis(y[:d2].reshape(dim, dim)).ravel()
         return dy
 
@@ -220,7 +215,7 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=Fal
         y = sol.y[:, -1]
 
     # the constant tail generator, column by column from the same drift
-    dis = redfield_dissipator(system, phonon, gen.h0, secular, warned)
+    dis = redfield_dissipator(system, phonon, gen.h0, secular)
     l_tail = np.column_stack([drift(0.0, e, dis) for e in np.eye(d2 + 1, dtype=complex)])
     l_rho, flux = l_tail[:d2, :d2], l_tail[d2, :d2]
     # L_T rho_ss = 0, Tr rho_ss = 1 and L_T x = rho_ss - rho_T, Tr x = 0: the

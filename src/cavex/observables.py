@@ -47,13 +47,9 @@ def beta_collection(system):
 
 def bloch_trajectory(traj, space):
     """Series of (s_x, s_y, s_z) from the reduced emitter state."""
-    out = np.empty((len(traj.states), 3))
-    for i, rho in enumerate(traj.states):
-        r = partial_trace_tls(rho, space)
-        out[i, 0] = 2.0 * r[1, 0].real
-        out[i, 1] = 2.0 * r[1, 0].imag
-        out[i, 2] = (r[1, 1] - r[0, 0]).real
-    return out
+    r = partial_trace_tls(traj.states, space)
+    coh = r[:, 1, 0]
+    return np.column_stack([2.0 * coh.real, 2.0 * coh.imag, (r[:, 1, 1] - r[:, 0, 0]).real])
 
 
 def figure_of_merit(traj, system):

@@ -16,6 +16,7 @@ at the emitter frequency; the stored phase factor is e^{+i dwL t}.
 """
 
 from dataclasses import dataclass, field as _dfield
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -87,7 +88,7 @@ class TimeGrid:
     def times(self):
         return np.linspace(self.t_start, self.t_end, self.n_points)
 
-    @property
+    @cached_property
     def dt(self):
         return (self.t_end - self.t_start) / (self.n_points - 1)
 

@@ -58,11 +58,12 @@ def expectation(rho, op):
 
 
 def partial_trace_tls(rho, space):
-    """Trace out the Fock factor, leaving the 2x2 emitter state."""
-    if rho.shape != (space.dim, space.dim):
+    """Trace out the Fock factor, leaving the 2x2 emitter state; a stack
+    (..., dim, dim) gives a stack (..., 2, 2)."""
+    if rho.shape[-2:] != (space.dim, space.dim):
         raise DimensionMismatchError(f"{rho.shape} vs dim {space.dim}")
-    blocks = rho.reshape(2, space.n_fock, 2, space.n_fock)
-    return np.einsum("anbn->ab", blocks)
+    blocks = rho.reshape(rho.shape[:-2] + (2, space.n_fock, 2, space.n_fock))
+    return np.einsum("...anbn->...ab", blocks)
 
 
 def check_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-8, eig_tol=1e-8):

@@ -1,6 +1,10 @@
 """Configuration parsing, unit conversion, and the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,7 +374,7 @@ reduce = EtaC
         base = load_config(cfg)
         for line, dwc in zip(lines[1:], (0.0, 5.0)):
             fom, _, _ = sweeps.run_cell(apply_override(base, "system.delta_omega_c_GHz", dwc))
-            assert line == cli._fmt(88.0) + "," + cli._fmt(dwc) + "," + cli._fmt(fom.eta_c)
+            assert line == f"{88.0:.8e}" + "," + f"{dwc:.8e}" + "," + f"{fom.eta_c:.8e}"
         assert json.loads((out / "map.json").read_text())["reduce"] == "EtaC"
 
     def test_cavity_map_recipe_honours_its_reduction(self, tmp_path):
@@ -418,7 +422,7 @@ axis2_values = 3 4 5
         lines = (out / "map.csv").read_text().splitlines()
         assert lines[0] == "system.delta_omega_c_GHz,pulse.delta_omega_L_GHz,value"
         rows = [(a, b, a * 10 + b) for a in (1.0, 2.0) for b in (3.0, 4.0, 5.0)]
-        assert lines[1:] == [",".join(cli._fmt(x) for x in row) for row in rows]
+        assert lines[1:] == [",".join(f"{x:.8e}" for x in row) for row in rows]
 
 
 class TestCliBloch:
@@ -457,3 +461,21 @@ n_traj_points = 300
     def test_filtered_detuned_plateau(self, tmp_path):
         eps = self._endpoints(tmp_path, "CavityFiltered", [8.0, 10.0])
         assert abs(eps[8.0]["rho_ee"] - eps[10.0]["rho_ee"]) < 0.05
+
+
+class TestBlasThreads:
+    VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+    def import_cavex(self, **preset):
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env.update(preset, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        code = f"import os, cavex; print(*(os.environ[v] for v in {self.VARS!r}))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        return out.stdout.split()
+
+    def test_import_pins_one_thread(self):
+        assert self.import_cavex() == ["1", "1", "1", "1"]
+
+    def test_preset_value_is_kept(self):
+        assert self.import_cavex(OPENBLAS_NUM_THREADS="3") == ["1", "3", "1", "1"]

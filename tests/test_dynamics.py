@@ -1,5 +1,7 @@
 """Master-equation propagation: limits with closed-form oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from cavex.dynamics import (
     propagate,
     redfield_dissipator,
 )
-from cavex.phonons import HBAR, KB, PhononSpec
+from cavex.phonons import HBAR, KB, PhononSpec, bath_rate
 from cavex.pulses import (
     CavityModeSpec,
     IntracavityField,
@@ -20,7 +22,7 @@ from cavex.pulses import (
     default_field_grid,
     intracavity_field_numeric,
 )
-from cavex.qcore import HilbertSpec, ground_state, partial_trace_tls
+from cavex.qcore import HilbertSpec, ground_state, partial_trace_tls, sigma_minus
 
 GHZ = 2 * np.pi * 1e9
 PHONONS_OFF = PhononSpec(enabled=False)
@@ -179,11 +181,47 @@ class TestRedfield:
         d = dis(rho)
         assert np.abs(d - d.conj().T).max() < 1e-12 * np.abs(d).max()
 
-    def test_degenerate_eigenbasis_warns(self):
+    def test_matches_four_term_form_on_any_matrix(self):
+        # the tail builds L_T from basis matrices, so the map must be the
+        # textbook one on non-Hermitian complex matrices as well
+        cfg = blue_case(amplitude_pi=8.0)
+        system, phonon = cfg.system(), cfg.phonon()
+        field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
+        h = hamiltonian_at(system, field, 2e-12)
+        ev, vec = np.linalg.eigh(h)
+        a = sigma_minus(system.hilbert).conj().T @ sigma_minus(system.hilbert)
+        gam = bath_rate(phonon, ev[None, :] - ev[:, None])
+        lam = vec @ ((vec.conj().T @ a @ vec) * (0.5 * gam)) @ vec.conj().T
+        lam_d = lam.conj().T
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape)
+        want = lam @ x @ a + a @ x @ lam_d - a @ lam @ x - x @ lam_d @ a
+        got = redfield_dissipator(system, phonon, h)(x)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("temperature", [4.2, 0.0])
+    def test_continuous_at_degenerate_eigenbasis(self, temperature):
+        # at dwc = 0, |g,0> and |e,n_max> both sit at zero energy in H0
         system = SystemSpec(g=4.0 * GHZ, kappa=25.0 * GHZ, hilbert=HilbertSpec(2))
-        h = hamiltonian_at(system, zero_field(), 0.0)  # |g,0>,|g,1>... degeneracies
-        with pytest.warns(RuntimeWarning, match="near-degenerate"):
-            redfield_dissipator(system, PhononSpec(), h, _warned=[False])
+        phonon = PhononSpec(temperature=temperature)
+        h0 = hamiltonian_at(system, zero_field(), 0.0)
+        rng = np.random.default_rng(13)
+        m = rng.normal(size=h0.shape) + 1j * rng.normal(size=h0.shape)
+        rho = m @ m.conj().T / np.trace(m @ m.conj().T)
+        d0 = redfield_dissipator(system, phonon, h0)(rho)
+        for _ in range(2):
+            v = rng.normal(size=h0.shape) + 1j * rng.normal(size=h0.shape)
+            v = (v + v.conj().T) / np.linalg.norm(v + v.conj().T, 2)
+            d = redfield_dissipator(system, phonon, h0 + 1e-9 * system.kappa * v)(rho)
+            assert np.abs(d - d0).max() <= 1e-6 * np.abs(d0).max()
+
+    def test_degenerate_cell_emits_no_warning(self):
+        system = SystemSpec(g=4.0 * GHZ, kappa=25.0 * GHZ, hilbert=HilbertSpec(2))
+        field = constant_field(50.0 * GHZ, 2e-11, n=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = propagate(system, field, PhononSpec(), grid=TimeGrid(0.0, 4e-11, 50))
+        assert traj.photons_out > 0.0
 
 
 class TestStateInvariants:

@@ -167,6 +167,17 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatchError):
             partial_trace_tls(np.eye(4, dtype=complex), HilbertSpec(2))
 
+    def test_stack_matches_each_state(self):
+        space = HilbertSpec(2)
+        rng = np.random.default_rng(12)
+        stack = rng.normal(size=(2, 5, 6, 6)) + 1j * rng.normal(size=(2, 5, 6, 6))
+        reduced = partial_trace_tls(stack, space)
+        assert reduced.shape == (2, 5, 2, 2)
+        for idx in np.ndindex(2, 5):
+            np.testing.assert_array_equal(reduced[idx], partial_trace_tls(stack[idx], space))
+        with pytest.raises(DimensionMismatchError):
+            partial_trace_tls(np.zeros((3, 4, 4), dtype=complex), space)
+
 
 class TestAdjointAlgebra:
     def test_product_adjoint(self):
