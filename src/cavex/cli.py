@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, load_sweep
-from .dynamics import PropagationError, propagate
+from .dynamics import propagate
 from .observables import bloch_trajectory
 from .pulses import IntracavityField, TimeGrid, input_envelope, intracavity_field_numeric
 from .sweeps import SweepCellError, fock_convergence, run_cell, run_sweep
@@ -258,7 +258,7 @@ def main(argv=None):
         if args.command == "convergence":
             return cmd_convergence(config, out_dir, formats)
         raise AssertionError(f"unhandled command {args.command}")
-    except (PropagationError, SweepCellError, ArithmeticError, ValueError) as exc:
+    except (SweepCellError, ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
 

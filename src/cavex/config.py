@@ -171,6 +171,8 @@ def _coerce(caster, raw, path):
         if low in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{path}: expected a boolean, got {raw!r}")
+    if caster is int and isinstance(raw, float) and not raw.is_integer():
+        raise ConfigError(f"{path}: expected an integer, got {raw!r}")
     try:
         return caster(raw)
     except (TypeError, ValueError) as exc:

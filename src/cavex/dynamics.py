@@ -34,7 +34,7 @@ from .pulses import IntracavityField, TimeGrid
 from .qcore import HilbertSpec, annihilation, ground_state, sigma_minus
 
 
-class PropagationError(RuntimeError):
+class PropagationError(ArithmeticError):
     """Integration failed or violated a state invariant."""
 
 

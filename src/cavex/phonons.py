@@ -82,21 +82,18 @@ def bath_rate(spec, omega):
     J ~ w^3 vanishes faster than nbar diverges).
     """
     w = np.asarray(omega, dtype=float)
-    out = np.zeros_like(w)
     if not spec.enabled or spec.coupling_scale == 0.0:
+        out = np.zeros_like(w)
         return out if out.ndim else float(out)
     aw = np.abs(w)
     # treat frequencies with hbar*w/kT below the normal float range as zero:
-    # gamma ~ w^2 there, and 1/expm1 would overflow to inf (inf * 0 -> nan)
+    # gamma ~ w^2 there, and 1/expm1 overflows to inf (inf * 0 -> nan), which
+    # the mask discards
     nz = aw * HBAR > 1e-300 * KB * max(spec.temperature, 1.0)
-    j = np.zeros_like(w)
-    j[nz] = spectral_density(spec, aw[nz])
-    nbar = np.zeros_like(w)
-    if spec.temperature > 0:
-        nbar[nz] = 1.0 / np.expm1(HBAR * aw[nz] / (KB * spec.temperature))
-    out[w > 0] = 2.0 * np.pi * j[w > 0] * (nbar[w > 0] + 1.0)
-    out[w < 0] = 2.0 * np.pi * j[w < 0] * nbar[w < 0]
-    out *= spec.coupling_scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nbar = 1.0 / np.expm1(HBAR * aw / (KB * spec.temperature)) if spec.temperature > 0 else 0.0
+        rate = 2.0 * np.pi * spectral_density(spec, aw) * (nbar + (w > 0))
+    out = np.where(nz, rate, 0.0) * spec.coupling_scale
     return out if out.ndim else float(out)
 
 

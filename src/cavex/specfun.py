@@ -17,7 +17,7 @@ class SpecFunDomainError(ValueError):
     """Argument outside the supported domain."""
 
 
-class SpecFunConvergenceError(RuntimeError):
+class SpecFunConvergenceError(ArithmeticError):
     """Series failed to converge within the term budget."""
 
 

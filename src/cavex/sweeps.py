@@ -12,7 +12,9 @@ making the output independent of scheduling.
 """
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field as _dfield
+from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -55,27 +57,17 @@ def run_cell(config):
     return fom, pulse_area(field), traj
 
 
-def _cell_value(config, reduce_kind, amplitude_grid):
-    if reduce_kind == "MaxOverAmplitude":
-        best = 0.0
-        for amp in amplitude_grid:
-            fom, _, _ = run_cell(apply_override(config, "pulse.amplitude_pi", amp))
-            best = max(best, fom.eta_c)
-        return best
+def _cell_value(config, reduce_kind):
     fom, _, _ = run_cell(config)
     return fom.pi_e if reduce_kind == "PiE" else fom.eta_c
 
 
-def _worker(args):
-    idx, config, reduce_kind, amplitude_grid = args
-    try:
-        return idx, _cell_value(config, reduce_kind, amplitude_grid)
-    except Exception as exc:  # re-raised with coordinates by the gatherer
-        return idx, exc
-
-
 def run_sweep(config, spec, workers=1):
     """Execute a SweepSpec and return a SweepResult.
+
+    Every job is one ``run_cell``; ``MaxOverAmplitude`` runs its
+    ``amplitude_grid`` as a last axis of ``EtaC`` cells and keeps the maximum.
+    The first failed cell, in row-major order, stops the sweep.
 
     In a ``cavity_map`` both polarization modes shift together with the
     cavity: setting ``system.delta_omega_c_GHz`` also moves
@@ -87,6 +79,10 @@ def run_sweep(config, spec, workers=1):
     maximum over each row of its first axis.
     """
     axes = spec.axes
+    cell_axes, reduce_kind = axes, spec.reduce
+    if spec.reduce == "MaxOverAmplitude":
+        cell_axes += (("pulse.amplitude_pi", spec.amplitude_grid),)
+        reduce_kind = "EtaC"
     offset = config.delta_omega_e_GHz - config.delta_omega_c_GHz
 
     def override(cfg, path, value):
@@ -97,25 +93,23 @@ def run_sweep(config, spec, workers=1):
 
     # every cell's config, in row-major order
     cells = [config]
-    for path, points in axes:
+    for path, points in cell_axes:
         cells = [override(cfg, path, v) for cfg in cells for v in points]
-    shape = tuple(len(points) for _, points in axes)
+    shape = tuple(len(points) for _, points in cell_axes)
 
     t0 = time.monotonic()
     values = np.full(shape, np.nan)
-    jobs = [
-        (idx, cfg, spec.reduce, spec.amplitude_grid)
-        for idx, cfg in zip(np.ndindex(shape), cells)
-    ]
-    if workers > 1:
-        with get_context("spawn").Pool(workers) as pool:
-            results = pool.map(_worker, jobs)
-    else:
-        results = map(_worker, jobs)
-    for idx, val in results:
-        if isinstance(val, Exception):
-            raise SweepCellError(f"cell {idx} failed: {val}") from val
-        values[idx] = val
+    cell = partial(_cell_value, reduce_kind=reduce_kind)
+    # leaving the block terminates the pool, so a failed cell stops the rest
+    with get_context("spawn").Pool(workers) if workers > 1 else nullcontext() as pool:
+        results = pool.imap(cell, cells) if pool else map(cell, cells)
+        for idx in np.ndindex(shape):
+            try:
+                values[idx] = next(results)
+            except Exception as exc:
+                raise SweepCellError(f"cell {idx} failed: {exc}") from exc
+    if spec.reduce == "MaxOverAmplitude":
+        values = values.max(axis=-1)
 
     meta = {
         "config_hash": config.hash(),
@@ -127,7 +121,7 @@ def run_sweep(config, spec, workers=1):
     if [path for path, _ in axes] == ["pulse.amplitude_pi"] and spec.reduce == "PiE":
         meta.update(_power_metadata(config, axes[0][1], values))
     if spec.kind == "detuning_map":
-        meta["row_maxima"] = tuple(values.reshape(shape[0], -1).max(axis=1))
+        meta["row_maxima"] = tuple(values.reshape(len(values), -1).max(axis=1))
     return SweepResult(axes, values, meta)
 
 

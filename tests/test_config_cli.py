@@ -21,6 +21,7 @@ from cavex.config import (
 )
 from cavex.dynamics import PropagationError
 from cavex.observables import beta_collection
+from cavex.specfun import SpecFunConvergenceError
 
 GHZ = 2 * np.pi * 1e9
 
@@ -100,6 +101,14 @@ class TestValidation:
     def test_override_bad_boolean(self):
         with pytest.raises(ConfigError, match="boolean"):
             apply_override(RunConfig(), "phonon.enabled", "maybe")
+
+    def test_int_key_takes_integral_values_only(self):
+        for value in (3, "3", 3.0):
+            assert apply_override(RunConfig(), "solver.n_max", value).n_max == 3
+        with pytest.raises(ConfigError, match="solver.n_max"):
+            apply_override(RunConfig(), "solver.n_max", 2.7)
+        with pytest.raises(ConfigError, match="solver.n_field_points"):
+            apply_override(RunConfig(), "solver.n_field_points", 4096.9)
 
 
 class TestIniRoundTrip:
@@ -274,7 +283,12 @@ class TestCliErrors:
         assert main(["simulate", "--config", str(cfg)]) == EXIT_VALIDATION
 
     @pytest.mark.parametrize(
-        "error", [PropagationError("the tail has no finite yield"), np.linalg.LinAlgError("eigh")]
+        "error",
+        [
+            PropagationError("the tail has no finite yield"),
+            np.linalg.LinAlgError("eigh"),
+            SpecFunConvergenceError("2F1"),
+        ],
     )
     def test_numerical_failures_exit_numerical(self, tmp_path, monkeypatch, error):
         def fail(config):
@@ -318,6 +332,13 @@ class TestCliErrors:
         )
         assert main(["sweep", "--config", str(recipe), "--out", str(tmp_path / "s")]) == EXIT_VALIDATION
         assert "cell (0,)" in capsys.readouterr().err
+
+    def test_non_integral_int_axis_exits_validation(self, tmp_path, capsys):
+        recipe = write_ini(
+            tmp_path, FAST_INI + "[sweep]\nkind = power\naxis1_path = solver.n_max\naxis1_values = 2.5 3.5\n"
+        )
+        assert main(["sweep", "--config", str(recipe), "--out", str(tmp_path / "s")]) == EXIT_VALIDATION
+        assert "solver.n_max" in capsys.readouterr().err
 
     def test_sweep_requires_config(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path)]) == EXIT_VALIDATION
@@ -405,7 +426,7 @@ axis2_values = 3
         monkeypatch.setattr(
             sweeps,
             "_cell_value",
-            lambda config, reduce_kind, grid: config.delta_omega_c_GHz * 10 + config.delta_omega_L_GHz,
+            lambda config, reduce_kind: config.delta_omega_c_GHz * 10 + config.delta_omega_L_GHz,
         )
         cfg = write_ini(
             tmp_path,

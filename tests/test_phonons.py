@@ -134,7 +134,7 @@ class TestBathRate:
 
     def test_vectorized_matches_scalar(self):
         spec = PhononSpec()
-        w = np.array([-3e11, -1e10, 0.0, 1e10, 3e11])
+        w = np.array([-3e11, -1e10, -1e-310, 0.0, 1e-310, 1e10, 3e11])
         vec = bath_rate(spec, w)
         for i, wi in enumerate(w):
             assert vec[i] == bath_rate(spec, float(wi))

@@ -34,9 +34,9 @@ def test_recipe_runs_as_written(path, monkeypatch):
     config, spec = load_config(path), load_sweep(path)
     cells = []
 
-    def record(cfg, reduce_kind, amplitude_grid):
-        cells.append((cfg, reduce_kind, amplitude_grid))
-        return 0.0
+    def record(cfg, reduce_kind):
+        cells.append((cfg, reduce_kind))
+        return cfg.amplitude_pi
 
     monkeypatch.setattr(sweeps, "_cell_value", record)
     result = sweeps.run_sweep(config, spec)
@@ -44,16 +44,22 @@ def test_recipe_runs_as_written(path, monkeypatch):
     assert [path for path, _ in result.axes] == [p for p in (spec.axis1_path, spec.axis2_path) if p]
     assert result.values.shape == tuple(len(values) for _, values in spec.axes)
     assert result.metadata["reduce"] == spec.reduce
-    # cells arrive in row-major order and carry the recipe's axis values
-    names = [_KEYMAP[path][0] for path, _ in result.axes]
-    grid = itertools.product(*(values for _, values in result.axes))
-    assert len(cells) == result.values.size
-    for (cfg, reduce_kind, amplitude_grid), point in zip(cells, grid):
+    # cells arrive in row-major order and carry the recipe's axis values; a
+    # MaxOverAmplitude recipe runs its amplitude grid as a last axis of EtaC
+    # cells and keeps each entry's maximum
+    axes, cell_reduce = result.axes, spec.reduce
+    if spec.reduce == "MaxOverAmplitude":
+        axes, cell_reduce = axes + (("pulse.amplitude_pi", spec.amplitude_grid),), "EtaC"
+        assert (result.values == max(spec.amplitude_grid)).all()
+    names = [_KEYMAP[path][0] for path, _ in axes]
+    grid = list(itertools.product(*(values for _, values in axes)))
+    assert len(cells) == len(grid)
+    for (cfg, reduce_kind), point in zip(cells, grid):
         assert tuple(getattr(cfg, name) for name in names) == point
-        assert (reduce_kind, amplitude_grid) == (spec.reduce, spec.amplitude_grid)
+        assert reduce_kind == cell_reduce
     if path.stem.startswith("figS1"):
         # the figure reports eta_c, and both polarization modes shift together
         assert spec.reduce == "EtaC"
         offset = config.delta_omega_e_GHz - config.delta_omega_c_GHz
-        for cfg, _, _ in cells:
+        for cfg, _ in cells:
             assert cfg.delta_omega_e_GHz - cfg.delta_omega_c_GHz == pytest.approx(offset, abs=1e-12)

@@ -8,7 +8,7 @@ import pytest
 
 from cavex import sweeps
 from cavex.config import SweepSpec, apply_override, blue_case, load_config, red_case
-from cavex.pulses import intracavity_field_numeric, pulse_area
+from cavex.pulses import GridResolutionError, intracavity_field_numeric, pulse_area
 from cavex.sweeps import (
     SweepCellError,
     SweepResult,
@@ -79,7 +79,7 @@ class TestPowerSweep:
 class TestMetadataFollowsTheSpec:
     @pytest.fixture(autouse=True)
     def stub_cells(self, monkeypatch):
-        monkeypatch.setattr(sweeps, "_cell_value", lambda config, reduce_kind, grid: config.amplitude_pi)
+        monkeypatch.setattr(sweeps, "_cell_value", lambda config, reduce_kind: config.amplitude_pi)
 
     def test_power_metadata_needs_an_amplitude_axis_reduced_to_pi_e(self):
         cfg = blue_case(**FAST)
@@ -152,15 +152,30 @@ class TestAgainstFilterEquationReference:
 
 
 class TestDeterminismAndWorkers:
-    def test_worker_count_does_not_change_values(self):
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SweepSpec(
+                kind="detuning_map",
+                axis1_path="pulse.delta_omega_L_GHz",
+                axis1_values=(80.0, 96.0),
+                axis2_path="pulse.amplitude_pi",
+                axis2_values=(2.0, 8.0),
+            ),
+            SweepSpec(
+                kind="modesplit_map",
+                axis1_path="system.delta_omega_e_GHz",
+                axis1_values=(-50.0,),
+                axis2_path="pulse.delta_omega_L_GHz",
+                axis2_values=(80.0, 96.0),
+                reduce="MaxOverAmplitude",
+                amplitude_grid=(2.0, 8.0),
+            ),
+        ],
+        ids=["detuning_map", "MaxOverAmplitude"],
+    )
+    def test_worker_count_does_not_change_values(self, spec):
         cfg = blue_case(**FAST)
-        spec = SweepSpec(
-            kind="detuning_map",
-            axis1_path="pulse.delta_omega_L_GHz",
-            axis1_values=(80.0, 96.0),
-            axis2_path="pulse.amplitude_pi",
-            axis2_values=(2.0, 8.0),
-        )
         serial = run_sweep(cfg, spec, workers=1)
         parallel = run_sweep(cfg, spec, workers=2)
         np.testing.assert_array_equal(serial.values, parallel.values)
@@ -172,7 +187,8 @@ class TestDeterminismAndWorkers:
         np.testing.assert_array_equal(a.values, b.values)
         assert a.metadata["config_hash"] == b.metadata["config_hash"]
 
-    def test_failed_cell_aborts_with_coordinates(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_cell_aborts_with_coordinates(self, workers):
         cfg = blue_case(**FAST)
         # a 0.01 ps pulse cannot be resolved on the fixed field grid, so
         # that cell fails during simulation (not during validation)
@@ -181,8 +197,9 @@ class TestDeterminismAndWorkers:
             axis1_path="pulse.t_p_ps",
             axis1_values=(0.01, 3.6),
         )
-        with pytest.raises(SweepCellError, match=r"cell \(0,\)"):
-            run_sweep(cfg, spec)
+        with pytest.raises(SweepCellError, match=r"cell \(0,\)") as info:
+            run_sweep(cfg, spec, workers=workers)
+        assert isinstance(info.value.__cause__, GridResolutionError)
 
     def test_invalid_axis_value_rejected_before_running(self):
         from cavex.config import ConfigError
@@ -210,6 +227,15 @@ class TestModesplitMap:
         coarse = modesplit_map(cfg, [-50.0], [88.0], [4.0, 8.0])
         dense = modesplit_map(cfg, [-50.0], [88.0], [2.0, 4.0, 6.0, 8.0])
         assert dense.values[0, 0] >= coarse.values[0, 0]
+
+    def test_entry_is_the_largest_eta_c_over_its_grid(self):
+        cfg = blue_case(phonon_enabled=False, **FAST)
+        grid = [2.0, 5.0, 9.0]
+        res = modesplit_map(cfg, [-30.0], [60.0], grid)
+        cfg = apply_override(cfg, "system.delta_omega_e_GHz", -30.0)
+        cfg = apply_override(cfg, "pulse.delta_omega_L_GHz", 60.0)
+        eta_c = [run_cell(apply_override(cfg, "pulse.amplitude_pi", amp))[0].eta_c for amp in grid]
+        assert res.values[0, 0] == max(eta_c)
 
 
 class TestCavityDetuningMap:
