@@ -174,9 +174,12 @@ def _coerce(caster, raw, path):
     if caster is int and isinstance(raw, float) and not raw.is_integer():
         raise ConfigError(f"{path}: expected an integer, got {raw!r}")
     try:
-        return caster(raw)
+        value = caster(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if caster is float and not np.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {raw!r}")
+    return value
 
 
 def apply_override(config, path, value):
@@ -187,13 +190,17 @@ def apply_override(config, path, value):
     return replace(config, **{name: _coerce(caster, value, path)})
 
 
-def load_config(path):
-    """Parse an INI file into a RunConfig; unknown keys are errors."""
+def _read_ini(path):
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys are case-sensitive (GHz suffixes)
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"{path}: cannot read config file")
+    if not parser.read(path):
+        raise ConfigError(f"{path}: cannot read INI file")
+    return parser
+
+
+def load_config(path):
+    """Parse an INI file into a RunConfig; unknown keys are errors."""
+    parser = _read_ini(path)
     config = RunConfig()
     for section in parser.sections():
         if section == "sweep":
@@ -225,9 +232,7 @@ class SweepSpec:
         if len(self.axis2_values) and not self.axis2_path:
             raise ConfigError("sweep.axis2_path: required by axis2_values")
         for vals, label in ((self.axis1_values, "axis1"), (self.axis2_values, "axis2")):
-            arr = np.asarray(vals, dtype=float)
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise ConfigError(f"sweep.{label}_values: non-finite value")
+            arr = np.asarray(vals, dtype=float)  # apply_override rejects non-finite values
             if arr.size > 1 and not (np.all(np.diff(arr) > 0) or np.all(np.diff(arr) < 0)):
                 raise ConfigError(f"sweep.{label}_values: must be strictly monotone")
         if self.reduce not in ("PiE", "EtaC", "MaxOverAmplitude"):
@@ -251,10 +256,7 @@ def _parse_values(key, raw):
 def load_sweep(path):
     """Parse the [sweep] section of a recipe INI into a SweepSpec; unknown
     keys are errors."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.optionxform = str
-    if not parser.read(path):
-        raise ConfigError(f"{path}: cannot read sweep file")
+    parser = _read_ini(path)
     if "sweep" not in parser:
         raise ConfigError(f"{path}: missing [sweep] section")
     lists = ("axis1_values", "axis2_values", "amplitude_grid")

@@ -15,12 +15,11 @@ Dissipation: kappa D[a] for collection-mode leakage, gamma_bg D[sigma-] for
 background decay, and a time-local non-secular Bloch-Redfield dissipator in
 the instantaneous eigenbasis of H(t) with coupling A = sigma+ sigma-.
 
-One Generator per SystemSpec holds L0 and the drive superoperators; the
-emitted photon count is part of the state, and the ring-down tail is closed.
+Each ``propagate`` call builds its own Generator (L0, drive superoperators);
+the photon count is part of the state, and the ring-down tail is closed.
 """
 
 from dataclasses import dataclass, field as _dfield
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse
@@ -105,22 +104,14 @@ class Generator:
         terms[0, d2, :d2] = system.kappa * self.n_op.T.ravel()  # photons' = kappa <n>
         terms[1:, :d2, :d2] = 0.5 * commutator(self.sp), 0.5 * commutator(sm)
         self.terms = scipy.sparse.csr_array(terms.reshape(3 * (d2 + 1), d2 + 1))
-        for x in (self.sm, self.sp, self.pop, self.n_op, self.h0, self.terms.data):
-            x.flags.writeable = False  # shared by every caller of ``generator``
 
     def hamiltonian(self, omega):
         return self.h0 + 0.5 * omega * self.sp + 0.5 * np.conj(omega) * self.sm
 
 
-@lru_cache(maxsize=2)
-def generator(system):
-    """The Generator of a SystemSpec, built once and shared."""
-    return Generator(system)
-
-
 def hamiltonian_at(system, field, t):
     """H(t)/hbar as a dense Hermitian matrix."""
-    return generator(system).hamiltonian(np.conj(field.at(t)))
+    return Generator(system).hamiltonian(np.conj(field.at(t)))
 
 
 def redfield_dissipator(system, phonon, h_now, secular=False):
@@ -142,11 +133,12 @@ def redfield_dissipator(system, phonon, h_now, secular=False):
     """
     if not phonon.enabled:
         return lambda rho: 0.0
-    pop = generator(system).pop
+    n_fock = system.hilbert.n_fock  # A projects onto the indices >= n_fock
 
     ev, vec = np.linalg.eigh(h_now)
     w_nm = ev[None, :] - ev[:, None]  # element [m, n] = E_n - E_m
-    a_eig = vec.conj().T @ pop @ vec
+    up = vec[n_fock:]
+    a_eig = up.conj().T @ up
     gam = bath_rate(phonon, w_nm)
 
     if secular:
@@ -164,10 +156,11 @@ def redfield_dissipator(system, phonon, h_now, secular=False):
 
     lam = vec @ (a_eig * (0.5 * gam)) @ vec.conj().T
     lam_d = lam.conj().T
+    a_diag = (np.arange(len(ev)) >= n_fock).astype(float)
+    sign = a_diag[None, :] - a_diag[:, None]  # [z, A]_ij = z_ij (A_jj - A_ii)
 
     def apply(rho):
-        z = lam @ rho - rho @ lam_d
-        return z @ pop - pop @ z
+        return (lam @ rho - rho @ lam_d) * sign
 
     return apply
 
@@ -182,7 +175,7 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=Fal
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol must lie in [1e-12, 1e-4]")
-    gen, dim, d2 = generator(system), system.hilbert.dim, system.hilbert.dim ** 2
+    gen, dim, d2 = Generator(system), system.hilbert.dim, system.hilbert.dim ** 2
     rho0 = ground_state(system.hilbert) if rho0 is None else rho0
     grid = ringdown_grid(system, field, 600) if grid is None else grid
 

@@ -12,6 +12,7 @@ making the output independent of scheduling.
 """
 
 import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field as _dfield
 from functools import partial
@@ -67,7 +68,7 @@ def run_sweep(config, spec, workers=1):
 
     Every job is one ``run_cell``; ``MaxOverAmplitude`` runs its
     ``amplitude_grid`` as a last axis of ``EtaC`` cells and keeps the maximum.
-    The first failed cell, in row-major order, stops the sweep.
+    The first failed cell in row-major order stops the sweep; a dead worker fails its cell.
 
     In a ``cavity_map`` both polarization modes shift together with the
     cavity: setting ``system.delta_omega_c_GHz`` also moves
@@ -100,13 +101,16 @@ def run_sweep(config, spec, workers=1):
     t0 = time.monotonic()
     values = np.full(shape, np.nan)
     cell = partial(_cell_value, reduce_kind=reduce_kind)
-    # leaving the block terminates the pool, so a failed cell stops the rest
-    with get_context("spawn").Pool(workers) if workers > 1 else nullcontext() as pool:
-        results = pool.imap(cell, cells) if pool else map(cell, cells)
+    # a dead worker breaks the executor: its cells fail, none is respawned
+    spawn = get_context("spawn")
+    with ProcessPoolExecutor(workers, mp_context=spawn) if workers > 1 else nullcontext() as pool:
+        results = pool.map(cell, cells) if pool else map(cell, cells)
         for idx in np.ndindex(shape):
             try:
                 values[idx] = next(results)
             except Exception as exc:
+                if pool:  # cancel the cells not yet started
+                    pool.shutdown(cancel_futures=True)
                 raise SweepCellError(f"cell {idx} failed: {exc}") from exc
     if spec.reduce == "MaxOverAmplitude":
         values = values.max(axis=-1)

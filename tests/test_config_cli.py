@@ -207,6 +207,12 @@ axis1_values = 0 2 4
             load_sweep(path)
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
 
+    def test_non_finite_amplitude_grid_names_its_key(self, tmp_path):
+        body = "[sweep]\nkind = modesplit_map\nreduce = MaxOverAmplitude\naxis1_values = 1 2\n"
+        path = write_ini(tmp_path, body + "amplitude_grid = 2 inf\n")
+        with pytest.raises(ConfigError, match="sweep.amplitude_grid: must be finite"):
+            load_sweep(path)
+
     def test_load_sweep_missing_section(self, tmp_path):
         path = write_ini(tmp_path, "[pulse]\namplitude_pi = 1\n")
         with pytest.raises(ConfigError, match="sweep"):
@@ -339,6 +345,15 @@ class TestCliErrors:
         )
         assert main(["sweep", "--config", str(recipe), "--out", str(tmp_path / "s")]) == EXIT_VALIDATION
         assert "solver.n_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["pulse.amplitude_pi", "system.gamma_bg_GHz", "phonon.temperature_K"])
+    def test_non_finite_value_exits_validation(self, tmp_path, key, value):
+        section, name = key.split(".")
+        cfg = write_ini(tmp_path, f"[{section}]\n{name} = {value}\n")
+        with pytest.raises(ConfigError, match=f"{key}: must be finite"):
+            load_config(cfg)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
 
     def test_sweep_requires_config(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path)]) == EXIT_VALIDATION

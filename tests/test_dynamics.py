@@ -181,10 +181,11 @@ class TestRedfield:
         d = dis(rho)
         assert np.abs(d - d.conj().T).max() < 1e-12 * np.abs(d).max()
 
-    def test_matches_four_term_form_on_any_matrix(self):
+    @pytest.mark.parametrize("n_max", [1, 3, 5])
+    def test_matches_four_term_form_on_any_matrix(self, n_max):
         # the tail builds L_T from basis matrices, so the map must be the
         # textbook one on non-Hermitian complex matrices as well
-        cfg = blue_case(amplitude_pi=8.0)
+        cfg = blue_case(amplitude_pi=8.0, n_max=n_max)
         system, phonon = cfg.system(), cfg.phonon()
         field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
         h = hamiltonian_at(system, field, 2e-12)
@@ -197,6 +198,31 @@ class TestRedfield:
         x = rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape)
         want = lam @ x @ a + a @ x @ lam_d - a @ lam @ x - x @ lam_d @ a
         got = redfield_dissipator(system, phonon, h)(x)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n_max", [1, 3, 5])
+    def test_secular_matches_pauli_form_on_any_matrix(self, n_max):
+        # rates W[m, n] = gamma(E_n - E_m) |A_mn|^2 carry |n> to |m>; each
+        # eigenbasis coherence decays at the mean of its two outgoing rates
+        cfg = blue_case(amplitude_pi=8.0, n_max=n_max)
+        system, phonon = cfg.system(), cfg.phonon()
+        field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
+        h = hamiltonian_at(system, field, 2e-12)
+        ev, vec = np.linalg.eigh(h)
+        sm = sigma_minus(system.hilbert)
+        a = vec.conj().T @ sm.conj().T @ sm @ vec
+        w = bath_rate(phonon, ev[None, :] - ev[:, None]) * np.abs(a) ** 2
+        leaving = w.sum(axis=0)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape)
+        r = vec.conj().T @ x @ vec
+        d = np.empty_like(r)
+        for m in range(len(ev)):
+            for n in range(len(ev)):
+                d[m, n] = -0.5 * (leaving[m] + leaving[n]) * r[m, n]
+            d[m, m] += sum(w[m, n] * r[n, n] for n in range(len(ev)))
+        want = vec @ d @ vec.conj().T
+        got = redfield_dissipator(system, phonon, h, secular=True)(x)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("temperature", [4.2, 0.0])

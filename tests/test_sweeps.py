@@ -1,5 +1,9 @@
 """Sweep engine: determinism, metadata, refinement, convergence."""
 
+import os
+import signal
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,7 +11,7 @@ import numpy as np
 import pytest
 
 from cavex import sweeps
-from cavex.config import SweepSpec, apply_override, blue_case, load_config, red_case
+from cavex.config import ConfigError, SweepSpec, apply_override, blue_case, load_config, red_case
 from cavex.pulses import GridResolutionError, intracavity_field_numeric, pulse_area
 from cavex.sweeps import (
     SweepCellError,
@@ -200,6 +204,35 @@ class TestDeterminismAndWorkers:
         with pytest.raises(SweepCellError, match=r"cell \(0,\)") as info:
             run_sweep(cfg, spec, workers=workers)
         assert isinstance(info.value.__cause__, GridResolutionError)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_axis_value_names_its_key(self, value):
+        spec = SweepSpec(kind="power", axis1_path="pulse.amplitude_pi", axis1_values=(value,))
+        with pytest.raises(ConfigError, match="pulse.amplitude_pi: must be finite"):
+            run_sweep(blue_case(**FAST), spec)
+
+    def test_unguarded_script_fails_instead_of_respawning(self, tmp_path):
+        # spawn workers re-import the script, which starts the sweep again
+        # while they bootstrap: each worker dies, and the sweep must say so
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from cavex.config import blue_case\n"
+            "from cavex.sweeps import power_sweep\n"
+            "cfg = blue_case(phonon_enabled=False, n_traj_points=600, n_field_points=4096)\n"
+            "power_sweep(cfg, [1.0, 2.0], workers=2)\n",
+            encoding="utf-8",
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen([sys.executable, str(script)], cwd=tmp_path, env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the sweep was still running after 60 s")
+        assert proc.returncode != 0
+        assert "terminated abruptly" in err
 
     def test_invalid_axis_value_rejected_before_running(self):
         from cavex.config import ConfigError

@@ -20,9 +20,10 @@ cell, times ``beta_c`` for an ``EtaC`` map.
 
 ``compare`` prints, per recipe, the largest |difference| between the map
 values of two such files and the cell where it occurs, then the value of
-each reference cell in both files next to its reference.  It exits 1 if any
-of those cells lies farther from its reference in AFTER than in BEFORE by
-more than 1e-9.
+each reference cell in both files next to its reference, and last a line
+naming the recipes whose maps are bit-identical (max |diff| = 0).  It exits
+1 if any reference cell lies farther from its reference in AFTER than in
+BEFORE by more than 1e-9.
 """
 
 import argparse
@@ -113,7 +114,8 @@ def compare(before, after):
     a = json.loads(Path(before).read_text(encoding="utf-8"))
     b = json.loads(Path(after).read_text(encoding="utf-8"))
     print(f"{'recipe':12s} {'cells':>5s} {'max |diff|':>11s}  at")
-    for name in sorted(set(a) | set(b)):
+    names, identical = sorted(set(a) | set(b)), []
+    for name in names:
         if name not in a or name not in b or a[name]["header"] != b[name]["header"]:
             print(f"{name:12s} not comparable: missing from one file or different axes")
             continue
@@ -124,6 +126,8 @@ def compare(before, after):
         diff, row = max((abs(ra[-1] - rb[-1]), ra) for ra, rb in zip(rows_a, rows_b))
         cell = ", ".join(f"{p}={v:g}" for p, v in zip(a[name]["header"], row[:-1]))
         print(f"{name:12s} {len(rows_a):5d} {diff:11.3e}  {cell}")
+        if diff == 0:
+            identical.append(name)
     print(f"\n{'recipe':12s} {'before':>13s} {'after':>13s} {'reference':>13s} {'after-ref':>10s}  cell")
     drifted = []
     for name in sorted(b):
@@ -143,8 +147,8 @@ def compare(before, after):
             drifted.append(name)
     if drifted:
         print(f"moved away from the reference by more than {DRIFT:g}: {', '.join(drifted)}")
-        return 1
-    return 0
+    print(f"bit-identical, {len(identical)} of {len(names)}: {', '.join(identical) or 'none'}")
+    return 1 if drifted else 0
 
 
 def main():
