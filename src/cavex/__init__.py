@@ -36,13 +36,12 @@ from .pulses import (
     finesse_enhancement,
     default_field_grid,
 )
-from .qcore import HilbertSpec, annihilation, sigma_minus, expectation, partial_trace_tls
-from .phonons import PhononSpec, spectral_density, thermal_occupation, bath_rate
+from .qcore import HilbertSpec, annihilation, sigma_minus, partial_trace_tls
+from .phonons import PhononSpec, spectral_density, bath_rate
 from .dynamics import SystemSpec, Trajectory, hamiltonian_at, propagate
 from .observables import (
     FigureOfMerit,
     purcell_rate,
-    purcell_factor,
     beta_collection,
     bloch_trajectory,
     figure_of_merit,

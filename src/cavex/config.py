@@ -171,15 +171,15 @@ def _coerce(caster, raw, path):
         if low in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{path}: expected a boolean, got {raw!r}")
-    if caster is int and isinstance(raw, float) and not raw.is_integer():
-        raise ConfigError(f"{path}: expected an integer, got {raw!r}")
     try:
-        value = caster(raw)
+        value = float(raw) if caster is int else caster(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if caster is int and not value.is_integer():
+        raise ConfigError(f"{path}: expected an integer, got {raw!r}")
     if caster is float and not np.isfinite(value):
         raise ConfigError(f"{path}: must be finite, got {raw!r}")
-    return value
+    return int(value) if caster is int else value
 
 
 def apply_override(config, path, value):

@@ -25,13 +25,6 @@ def purcell_rate(g, kappa, detuning):
     return 4.0 * g**2 / kappa / (1.0 + (2.0 * detuning / kappa) ** 2)
 
 
-def purcell_factor(g, kappa, gamma_bg, detuning):
-    """F_p(detuning) = purcell_rate(g, kappa, detuning) / gamma_bg."""
-    if gamma_bg <= 0:
-        raise ValueError("purcell_factor requires gamma_bg > 0; use beta_collection otherwise")
-    return purcell_rate(g, kappa, detuning) / gamma_bg
-
-
 def beta_collection(system):
     """Probability that an exciton emits into the collection mode.
 

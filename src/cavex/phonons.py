@@ -65,15 +65,6 @@ def spectral_density(spec, omega):
     return out if out.ndim else float(out)
 
 
-def thermal_occupation(omega, temperature):
-    """Bose-Einstein occupation nbar(omega) at the given temperature."""
-    if omega <= 0:
-        raise ValueError("thermal_occupation requires omega > 0")
-    if temperature == 0:
-        return 0.0
-    return 1.0 / np.expm1(HBAR * omega / (KB * temperature))
-
-
 def bath_rate(spec, omega):
     """One-sided rate at system transition frequency omega (vectorized).
 
@@ -95,13 +86,3 @@ def bath_rate(spec, omega):
         rate = 2.0 * np.pi * spectral_density(spec, aw) * (nbar + (w > 0))
     out = np.where(nz, rate, 0.0) * spec.coupling_scale
     return out if out.ndim else float(out)
-
-
-def spectral_density_peak(spec, w_max=None, n=20000):
-    """Locate (omega_peak, J_peak) by dense scan; utility for diagnostics."""
-    if w_max is None:
-        w_max = 8.0 * spec.c_s / min(spec.r_e, spec.r_h)
-    w = np.linspace(0.0, w_max, n)
-    j = spectral_density(spec, w)
-    i = int(np.argmax(j))
-    return w[i], j[i]

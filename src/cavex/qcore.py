@@ -50,13 +50,6 @@ def ground_state(space):
     return rho
 
 
-def expectation(rho, op):
-    """Tr(rho op)."""
-    if rho.shape != op.shape:
-        raise DimensionMismatchError(f"{rho.shape} vs {op.shape}")
-    return np.trace(rho @ op)
-
-
 def partial_trace_tls(rho, space):
     """Trace out the Fock factor, leaving the 2x2 emitter state; a stack
     (..., dim, dim) gives a stack (..., 2, 2)."""
@@ -64,13 +57,3 @@ def partial_trace_tls(rho, space):
         raise DimensionMismatchError(f"{rho.shape} vs dim {space.dim}")
     blocks = rho.reshape(rho.shape[:-2] + (2, space.n_fock, 2, space.n_fock))
     return np.einsum("...anbn->...ab", blocks)
-
-
-def check_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-8, eig_tol=1e-8):
-    """Validate Hermiticity, unit trace, and positivity of rho."""
-    if np.abs(rho - rho.conj().T).max() > herm_tol:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
-        raise ValueError("density matrix trace deviates from 1")
-    if np.linalg.eigvalsh(rho).min() < -eig_tol:
-        raise ValueError("density matrix has a significantly negative eigenvalue")

@@ -26,6 +26,8 @@ from .dynamics import propagate, ringdown_grid
 from .observables import beta_collection, figure_of_merit
 from .pulses import intracavity_field_numeric, pulse_area
 
+FOCK_TOL = 1e-4  # the largest pi_e shift from n_max to n_max + 2 that counts as converged
+
 
 class SweepCellError(RuntimeError):
     """A cell simulation failed; the message carries its coordinates."""
@@ -109,7 +111,9 @@ def run_sweep(config, spec, workers=1):
             try:
                 values[idx] = next(results)
             except Exception as exc:
-                if pool:  # cancel the cells not yet started
+                if pool:  # stop the running cells, cancel those not yet started
+                    for proc in pool._processes.values():
+                        proc.terminate()
                     pool.shutdown(cancel_futures=True)
                 raise SweepCellError(f"cell {idx} failed: {exc}") from exc
     if spec.reduce == "MaxOverAmplitude":
@@ -200,7 +204,7 @@ def cavity_detuning_map(config, cavity_detunings_GHz, amplitudes_pi, workers=1):
     return run_sweep(config, spec, workers)
 
 
-def fock_convergence(config, delta_tol=1e-4):
+def fock_convergence(config):
     """Re-run one representative cell with n_max + 2; report the pi_e shift."""
     fom_a, _, _ = run_cell(config)
     cfg_b = apply_override(config, "solver.n_max", config.n_max + 2)
@@ -212,5 +216,5 @@ def fock_convergence(config, delta_tol=1e-4):
         "pi_e": fom_a.pi_e,
         "pi_e_check": fom_b.pi_e,
         "delta": delta,
-        "converged": bool(delta < delta_tol),
+        "converged": bool(delta < FOCK_TOL),
     }

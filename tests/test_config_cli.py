@@ -103,8 +103,9 @@ class TestValidation:
             apply_override(RunConfig(), "phonon.enabled", "maybe")
 
     def test_int_key_takes_integral_values_only(self):
-        for value in (3, "3", 3.0):
+        for value in (3, "3", 3.0, "3.0"):
             assert apply_override(RunConfig(), "solver.n_max", value).n_max == 3
+        assert apply_override(RunConfig(), "solver.n_field_points", "4096.0").n_field_points == 4096
         with pytest.raises(ConfigError, match="solver.n_max"):
             apply_override(RunConfig(), "solver.n_max", 2.7)
         with pytest.raises(ConfigError, match="solver.n_field_points"):

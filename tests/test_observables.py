@@ -9,7 +9,7 @@ from cavex.observables import (
     beta_collection,
     bloch_trajectory,
     figure_of_merit,
-    purcell_factor,
+    purcell_rate,
 )
 from cavex.pulses import IntracavityField, TimeGrid, intracavity_field_numeric
 from cavex.qcore import HilbertSpec
@@ -54,23 +54,15 @@ class TestPopulationInversion:
         assert figure_of_merit(traj, system).pi_e == 0.0
 
 
-class TestPurcellFactor:
+class TestPurcellRate:
     def test_resonant_value(self):
-        g, kappa, gamma = 4.0 * GHZ, 25.0 * GHZ, 0.1 * GHZ
-        assert purcell_factor(g, kappa, gamma, 0.0) == pytest.approx(
-            4 * g**2 / (kappa * gamma)
-        )
+        g, kappa = 4.0 * GHZ, 25.0 * GHZ
+        assert purcell_rate(g, kappa, 0.0) == pytest.approx(4 * g**2 / kappa)
 
     def test_lorentzian_rolloff(self):
-        g, kappa, gamma = 4.0 * GHZ, 25.0 * GHZ, 0.1 * GHZ
-        # detuning of half a linewidth halves the factor
-        assert purcell_factor(g, kappa, gamma, kappa / 2) == pytest.approx(
-            purcell_factor(g, kappa, gamma, 0.0) / 2
-        )
-
-    def test_gamma_bg_zero_rejected(self):
-        with pytest.raises(ValueError):
-            purcell_factor(4.0 * GHZ, 25.0 * GHZ, 0.0, 0.0)
+        g, kappa = 4.0 * GHZ, 25.0 * GHZ
+        # detuning of half a linewidth halves the rate
+        assert purcell_rate(g, kappa, kappa / 2) == pytest.approx(purcell_rate(g, kappa, 0.0) / 2)
 
 
 class TestBetaCollection:

@@ -12,8 +12,6 @@ from cavex.phonons import (
     PhononSpec,
     bath_rate,
     spectral_density,
-    spectral_density_peak,
-    thermal_occupation,
 )
 
 GHZ = 2 * np.pi * 1e9
@@ -46,7 +44,9 @@ class TestSpectralDensity:
 
     def test_peak_location_and_value(self):
         spec = PhononSpec()
-        wp, jp = spectral_density_peak(spec, n=2_000_001)
+        w = np.linspace(0.0, 8.0 * spec.c_s / min(spec.r_e, spec.r_h), 2_000_001)
+        j = spectral_density(spec, w)
+        wp, jp = w[np.argmax(j)], j.max()
         assert wp / GHZ == pytest.approx(PEAK_OMEGA_GHZ, rel=1e-4)
         assert jp == pytest.approx(PEAK_J, rel=1e-4)
 
@@ -57,9 +57,8 @@ class TestSpectralDensity:
 
     def test_gaussian_suppression_past_cutoff(self):
         spec = PhononSpec()
-        _, jp = spectral_density_peak(spec)
         w_far = 8.0 * spec.c_s / min(spec.r_e, spec.r_h)
-        assert spectral_density(spec, w_far) < 1e-6 * jp
+        assert spectral_density(spec, w_far) < 1e-6 * PEAK_J
 
     def test_nonnegative_everywhere(self):
         spec = PhononSpec()
@@ -71,29 +70,26 @@ class TestSpectralDensity:
             spectral_density(PhononSpec(), -1.0)
 
 
-class TestThermalOccupation:
-    def test_zero_temperature(self):
-        assert thermal_occupation(1e11, 0.0) == 0.0
-
-    def test_ln2_point(self):
-        # hbar omega / k T = ln 2  ->  nbar = 1
-        T = 4.2
-        w = np.log(2.0) * KB * T / HBAR
-        assert thermal_occupation(w, T) == pytest.approx(1.0, rel=1e-12)
-
-    def test_88ghz_reference(self):
-        # hbar 2pi 88 GHz / (k 4.2 K) = 1.00555569...; nbar = 1/(e^x - 1)
-        assert thermal_occupation(88.0 * GHZ, 4.2) == pytest.approx(0.576892304986772, rel=1e-12)
-
-    def test_zero_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            thermal_occupation(0.0, 4.2)
-
-
 class TestBathRate:
     def test_absorption_vanishes_at_zero_temperature(self):
         spec = PhononSpec(temperature=0.0, coupling_scale=1.0)
         assert bath_rate(spec, -2e11) == 0.0
+
+    @pytest.mark.parametrize(
+        "T, w, nbar",
+        [
+            # hbar 2pi 88 GHz / (k 4.2 K) = 1.00555569...; nbar = 1/(e^x - 1)
+            (4.2, 88.0 * GHZ, 0.576892304986772),
+            # hbar omega / k T = ln 2  ->  nbar = 1
+            (4.2, np.log(2.0) * KB * 4.2 / HBAR, 1.0),
+            (0.0, 1e11, 0.0),
+        ],
+        ids=["88GHz", "ln2", "zero_temperature"],
+    )
+    def test_absorption_is_thermal_occupation(self, T, w, nbar):
+        spec = PhononSpec(temperature=T, coupling_scale=1.0)
+        ratio = bath_rate(spec, -w) / (2 * np.pi * spectral_density(spec, w))
+        assert ratio == pytest.approx(nbar, rel=1e-12)
 
     def test_zero_frequency_rate(self):
         assert bath_rate(UNIT_SCALE, 0.0) == 0.0
@@ -118,7 +114,8 @@ class TestBathRate:
         # gamma(peak) = 2 pi J_peak (nbar + 1), composed from the two oracles
         spec = UNIT_SCALE
         wp = PEAK_OMEGA_GHZ * GHZ
-        expected = 2 * np.pi * reference_j(spec, wp) * (thermal_occupation(wp, 4.2) + 1.0)
+        nbar = 1.0 / np.expm1(HBAR * wp / (KB * 4.2))
+        expected = 2 * np.pi * reference_j(spec, wp) * (nbar + 1.0)
         assert bath_rate(spec, wp) == pytest.approx(expected, rel=1e-10)
 
     def test_disabled_returns_exact_zero(self):

@@ -1,9 +1,11 @@
 """Sweep engine: determinism, metadata, refinement, convergence."""
 
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -204,6 +206,20 @@ class TestDeterminismAndWorkers:
         with pytest.raises(SweepCellError, match=r"cell \(0,\)") as info:
             run_sweep(cfg, spec, workers=workers)
         assert isinstance(info.value.__cause__, GridResolutionError)
+
+    def test_failed_cell_stops_the_running_cells(self):
+        # cell 0 fails at once while the other worker runs a cell of a few
+        # seconds: the sweep must raise before that cell could finish
+        cfg = blue_case(amplitude_pi=20.0, n_max=10, tol=1e-12, n_traj_points=600)
+        t0 = time.perf_counter()
+        run_cell(apply_override(cfg, "pulse.t_p_ps", 3.6))
+        serial = time.perf_counter() - t0
+        spec = SweepSpec(kind="power", axis1_path="pulse.t_p_ps", axis1_values=(0.01, 3.6, 4.0, 4.4))
+        t0 = time.perf_counter()
+        with pytest.raises(SweepCellError, match=r"cell \(0,\)"):
+            run_sweep(cfg, spec, workers=2)
+        assert time.perf_counter() - t0 < serial
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_axis_value_names_its_key(self, value):
