@@ -171,6 +171,8 @@ def _coerce(caster, raw, path):
         if low in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{path}: expected a boolean, got {raw!r}")
+    if isinstance(raw, (bool, np.bool_)):  # float(True) would read it as 1.0
+        raise ConfigError(f"{path}: expected a number, got {raw!r}")
     try:
         value = float(raw) if caster is int else caster(raw)
     except (TypeError, ValueError) as exc:

@@ -12,11 +12,13 @@ produces the observed blue/red phonon asymmetry (damping when collecting on
 the upper mode, plateau on the lower).
 
 Dissipation: kappa D[a] for collection-mode leakage, gamma_bg D[sigma-] for
-background decay, and a time-local non-secular Bloch-Redfield dissipator in
-the instantaneous eigenbasis of H(t) with coupling A = sigma+ sigma-.
+background decay, and a time-local Bloch-Redfield dissipator in the
+instantaneous eigenbasis of H(t) with coupling A = sigma+ sigma-.
 
-Each ``propagate`` call builds its own Generator (L0, drive superoperators);
-the photon count is part of the state, and the ring-down tail is closed.
+Each ``propagate`` call builds its own Generator (L0, drive superoperators)
+and, for the non-secular map, its own RedfieldTable of Lambda in |Omega|; the
+secular map is rebuilt at each call.  The photon count is part of the state,
+and the ring-down tail is closed.
 """
 
 from dataclasses import dataclass, field as _dfield
@@ -31,6 +33,9 @@ from .observables import purcell_rate
 from .phonons import bath_rate
 from .pulses import IntracavityField, TimeGrid
 from .qcore import HilbertSpec, annihilation, ground_state, sigma_minus
+
+
+TABLE_POINTS = 256  # nodes of a cell's Redfield table on [0, max |Omega|]
 
 
 class PropagationError(ArithmeticError):
@@ -165,6 +170,47 @@ def redfield_dissipator(system, phonon, h_now, secular=False):
     return apply
 
 
+class RedfieldTable:
+    """The non-secular map of one cell, rho -> [Lambda rho - rho Lambda^dag, A],
+    with Lambda read from a table in r = |Omega|.
+
+    N = a^dag a + sigma+ sigma- commutes with h0 and A, and sigma+ raises it by
+    one, so H(r e^{i phi}) = U H(r) U^dag with U = e^{i phi N}, and Lambda
+    follows: Lambda(Omega)_jk = (Omega/r)^(N_j - N_k) Lambda(r)_jk, where
+    Lambda(r) is real.  It is sampled at TABLE_POINTS nodes on [0, r_max] and
+    two guard nodes past each end, from one batched eigh and one bath_rate
+    call, and read by the C1 cubic Hermite rule of IntracavityField.at.
+    """
+
+    def __init__(self, system, phonon, gen, r_max):
+        n_fock = system.hilbert.n_fock  # A projects onto the indices >= n_fock
+        self.step = r_max / (TABLE_POINTS - 1) or 1.0  # a zero field reads r = 0 only
+        r = self.step * np.arange(-2, TABLE_POINTS + 2)
+        ev, vec = np.linalg.eigh(gen.h0.real + 0.5 * r[:, None, None] * (gen.sp + gen.sm).real)
+        gam = bath_rate(phonon, ev[:, None, :] - ev[:, :, None])  # [m, n] = E_n - E_m
+        up = vec[:, n_fock:]
+        self.samples = vec @ (up.transpose(0, 2, 1) @ up * (0.5 * gam)) @ vec.transpose(0, 2, 1)
+        n_exc = np.rint(np.diag(gen.n_op + gen.pop).real).astype(int)
+        self.exponent = n_exc[:, None] - n_exc[None, :]  # N_j - N_k
+        a_diag = (np.arange(len(n_exc)) >= n_fock).astype(float)
+        self.sign = a_diag[None, :] - a_diag[:, None]  # [z, A]_ij = z_ij (A_jj - A_ii)
+
+    def __call__(self, omega, rho):
+        r = abs(omega)
+        x = r / self.step
+        i = min(int(x), TABLE_POINTS - 2)
+        f = x - i
+        # Hermite basis at f; the slopes are fourth-order differences of the
+        # six samples around the interval, as in IntracavityField.at
+        h10, h11, h01 = f * (1.0 - f) ** 2, f * f * (f - 1.0), f * f * (3.0 - 2.0 * f)
+        weights = np.array([h10, h11 - 8.0 * h10, 12.0 - 12.0 * h01 - 8.0 * h11,
+                            12.0 * h01 + 8.0 * h10, 8.0 * h11 - h10, -h11]) / 12.0
+        lam = (weights @ self.samples[i : i + 6].reshape(6, -1)).reshape(rho.shape)
+        if r:  # Python division: numpy's overflows for a subnormal r
+            lam = lam * (complex(omega) / r) ** self.exponent
+        return (lam @ rho - rho @ lam.conj().T) * self.sign
+
+
 def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=False):
     """Integrate the master equation; return a Trajectory sampled on grid.
 
@@ -179,12 +225,19 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=Fal
     rho0 = ground_state(system.hilbert) if rho0 is None else rho0
     grid = ringdown_grid(system, field, 600) if grid is None else grid
 
-    def drift(omega, y, dis=None):
+    if not phonon.enabled:
+        dissipate = None
+    elif secular:
+        def dissipate(omega, rho):
+            return redfield_dissipator(system, phonon, gen.hamiltonian(omega), True)(rho)
+    else:
+        dissipate = RedfieldTable(system, phonon, gen, field.magnitude_bound())
+
+    def drift(omega, y):
         l0_y, plus_y, minus_y = (gen.terms @ y).reshape(3, d2 + 1)
         dy = l0_y + omega * plus_y + np.conj(omega) * minus_y
-        if phonon.enabled:
-            dis = dis or redfield_dissipator(system, phonon, gen.hamiltonian(omega), secular)
-            dy[:d2] += dis(y[:d2].reshape(dim, dim)).ravel()
+        if dissipate is not None:
+            dy[:d2] += dissipate(omega, y[:d2].reshape(dim, dim)).ravel()
         return dy
 
     def rhs(t, y):
@@ -208,8 +261,7 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=Fal
         y = sol.y[:, -1]
 
     # the constant tail generator, column by column from the same drift
-    dis = redfield_dissipator(system, phonon, gen.h0, secular)
-    l_tail = np.column_stack([drift(0.0, e, dis) for e in np.eye(d2 + 1, dtype=complex)])
+    l_tail = np.column_stack([drift(0.0, e) for e in np.eye(d2 + 1, dtype=complex)])
     l_rho, flux = l_tail[:d2, :d2], l_tail[d2, :d2]
     # L_T rho_ss = 0, Tr rho_ss = 1 and L_T x = rho_ss - rho_T, Tr x = 0: the
     # rho_00 row is redundant (L_T preserves the trace), so Tr takes its place

@@ -109,6 +109,20 @@ class IntracavityField:
             return 0.0
         return max(abs(self.envelope[0]), abs(self.envelope[-1])) / peak
 
+    def magnitude_bound(self):
+        """An upper bound on |at(t)| over the grid.
+
+        On a cubic interval |p| <= max(|e0|, |e1|) + 4/27 (|d0| + |d1|): the
+        Hermite weights of the two values are non-negative and sum to one,
+        and those of the slopes stay within 4/27.  Linear intervals do not
+        pass their end samples.
+        """
+        e = self.envelope
+        mag = np.abs(e)
+        slope = np.abs(e[:-4] - e[4:] + 8.0 * (e[3:-1] - e[1:-3])) / 12.0  # samples 2 .. n-3
+        cubic = np.maximum(mag[2:-3], mag[3:-2]) + 4.0 / 27.0 * (slope[:-1] + slope[1:])
+        return float(max(mag.max(), cubic.max(initial=0.0)))
+
     def at(self, t):
         """Envelope at time t by C1 cubic Hermite interpolation; zero outside the grid.
 

@@ -111,6 +111,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="solver.n_field_points"):
             apply_override(RunConfig(), "solver.n_field_points", 4096.9)
 
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True)])
+    @pytest.mark.parametrize("key", ["solver.n_max", "solver.tol", "pulse.amplitude_pi"])
+    def test_numeric_key_rejects_a_boolean(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}: expected a number") as err:
+            apply_override(RunConfig(), key, value)
+        assert cli._exit_code(err.value) == EXIT_VALIDATION
+
 
 class TestIniRoundTrip:
     def test_values_and_case_sensitive_keys(self, tmp_path):

@@ -5,9 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from cavex import dynamics
 from cavex.config import blue_case, red_case
 from cavex.dynamics import (
+    TABLE_POINTS,
+    Generator,
     PropagationError,
+    RedfieldTable,
     SystemSpec,
     hamiltonian_at,
     propagate,
@@ -248,6 +252,69 @@ class TestRedfield:
             warnings.simplefilter("error")
             traj = propagate(system, field, PhononSpec(), grid=TimeGrid(0.0, 4e-11, 50))
         assert traj.photons_out > 0.0
+
+
+def random_density_matrix(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho)
+
+
+class TestRedfieldTable:
+    @pytest.mark.parametrize("n_max", [3, 5])
+    def test_matches_per_call_map_on_random_drive(self, n_max):
+        # the eigenbasis map of gen.hamiltonian(omega) is the oracle: at the
+        # nodes only the U(1) phase acts, between them the cubic rule too
+        cfg = blue_case(amplitude_pi=12.0, n_max=n_max)
+        system, phonon = cfg.system(), cfg.phonon()
+        field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
+        gen = Generator(system)
+        table = RedfieldTable(system, phonon, gen, field.magnitude_bound())
+        rng = np.random.default_rng(21)
+        for r_nodes, bound in ((rng.integers(0, TABLE_POINTS, 10) * table.step, 1e-13),
+                               (rng.uniform(0.0, field.magnitude_bound(), 10), 1e-8)):
+            for r in r_nodes:
+                omega = r * np.exp(2j * np.pi * rng.uniform())
+                rho = random_density_matrix(rng, system.hilbert.dim)
+                want = redfield_dissipator(system, phonon, gen.hamiltonian(omega))(rho)
+                got = table(omega, rho)
+                assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+    def test_covers_the_interpolated_field_without_extrapolating(self):
+        # at() overshoots the largest sample between samples (by ~1e-6 of
+        # the peak here); the table must end past every |Omega| it returns
+        cfg = blue_case(amplitude_pi=12.0)
+        system = cfg.system()
+        field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
+        peak = np.abs(field.envelope).argmax()
+        times = np.linspace(*field.grid.times[[peak - 3, peak + 3]], 3001)
+        largest = max(abs(field.at(t)) for t in times)
+        assert largest > np.abs(field.envelope).max()
+        table = RedfieldTable(system, cfg.phonon(), Generator(system), field.magnitude_bound())
+        assert largest <= table.step * (TABLE_POINTS - 1)
+
+    def test_one_bath_rate_call_per_cell(self, monkeypatch):
+        # the table is built once; the drift calls neither eigh nor bath_rate
+        calls = []
+        monkeypatch.setattr(dynamics, "bath_rate", lambda *a: calls.append(1) or bath_rate(*a))
+        cfg = blue_case(amplitude_pi=4.0, n_field_points=4096)
+        field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
+        propagate(cfg.system(), field, cfg.phonon())
+        assert len(calls) == 1
+
+    def test_zero_field_builds_a_valid_table_and_emits_nothing(self):
+        cfg = blue_case(amplitude_pi=0.0)
+        system, phonon = cfg.system(), cfg.phonon()
+        field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
+        assert field.magnitude_bound() == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by zero
+            table = RedfieldTable(system, phonon, Generator(system), 0.0)
+            assert table.step > 0.0 and np.all(np.isfinite(table.samples))
+            rho = random_density_matrix(np.random.default_rng(4), system.hilbert.dim)
+            want = redfield_dissipator(system, phonon, Generator(system).h0)(rho)
+            assert np.abs(table(0.0, rho) - want).max() <= 1e-13 * np.abs(want).max()
+            assert propagate(system, field, phonon).photons_out == 0.0
 
 
 class TestStateInvariants:
