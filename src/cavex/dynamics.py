@@ -15,19 +15,25 @@ Dissipation: kappa D[a] for collection-mode leakage, gamma_bg D[sigma-] for
 background decay, and a time-local Bloch-Redfield dissipator in the
 instantaneous eigenbasis of H(t) with coupling A = sigma+ sigma-.
 
-Each ``propagate`` call builds its own Generator (L0, drive superoperators)
-and, for the non-secular map, its own RedfieldTable of Lambda in |Omega|; the
-secular map is rebuilt at each call.  The photon count is part of the state,
-and the ring-down tail is closed.
+A ``propagate`` call integrates a row: one field shape and the amplitudes
+that scale it, one cell each (a single cell is a row of one).  It builds one
+Generator (L0, drive superoperators) and, for the non-secular map, one
+RedfieldTable holding each cell's Lambda in |Omega|; the secular map is
+rebuilt at each evaluation.  The drive window is integrated by an in-house
+Dormand-Prince loop (``_dormand_prince``) that steps every cell of the row
+with its own step control, so a cell's numbers do not depend on its row.  The
+photon count is part of the state, and the ring-down tail, whose generator
+does not depend on the amplitude, is closed once for the row.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field as _dfield
+from math import inf, nextafter, sqrt
 
 import numpy as np
 import scipy.sparse
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm, lu_factor, lu_solve
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse import _sparsetools
 
 from .observables import purcell_rate
 from .phonons import bath_rate
@@ -37,9 +43,56 @@ from .qcore import HilbertSpec, annihilation, ground_state, sigma_minus
 
 TABLE_POINTS = 256  # nodes of a cell's Redfield table on [0, max |Omega|]
 
+# The Dormand-Prince 5(4) tableau as scipy's RK45 writes it (C, A, B, the
+# error weights E and the dense-output matrix P of Shampine, Math. Comp. 46,
+# 135 (1986)).
+# scipy.integrate is not imported for it: it costs a third of `import cavex`.
+RK_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+RK_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+RK_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]], dtype=complex)
+# the tableau as complex matmul operands on [y, k_0, ..., k_6]: the rows of
+# A (stages 1 to 5) and B, each with y's weight 1, then E; an attempt
+# evaluates the drift at t + c h for these c
+RK_W = np.zeros((8, 8), dtype=complex)
+RK_W[1:6, 1:6], RK_W[6, 1:7], RK_W[7, 1:] = RK_A[1:], RK_B, RK_E
+RK_W[1:7, 0] = 1.0
+STAGE_C = np.append(RK_C[1:], 1.0)
+TOO_SMALL = "integrator failed: required step size is less than spacing between numbers."
+
+
+def __getattr__(name):
+    # bench/tracing.py wraps dynamics.solve_ivp by name and nothing here calls
+    # it: it is bound on first access, so `import cavex` does not import
+    # scipy.integrate
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 class PropagationError(ArithmeticError):
-    """Integration failed or violated a state invariant."""
+    """Integration failed or violated a state invariant; ``cell`` is the index
+    of the failing cell in its row."""
+
+    def __init__(self, message, cell=0):
+        super().__init__(message)
+        self.cell = cell
 
 
 @dataclass(frozen=True)
@@ -74,6 +127,7 @@ class Trajectory:
     excited_pop: np.ndarray = _dfield(repr=False)
     field: IntracavityField = _dfield(repr=False)  # the drive it was propagated under
     photons_out: float  # kappa * integral of <a^dag a> from grid.t_start to infinity
+    rhs_calls: int  # drift evaluations over the drive window, as solve_ivp's nfev counts them
 
 
 def ringdown_grid(system, field, n_points):
@@ -112,6 +166,18 @@ class Generator:
 
     def hamiltonian(self, omega):
         return self.h0 + 0.5 * omega * self.sp + 0.5 * np.conj(omega) * self.sm
+
+    def apply(self, y):
+        """The three terms applied to each row of y: shape (rows, 3, d2 + 1),
+        C-contiguous.  scipy's CSR kernel is called directly, as the sparse
+        array's operator dispatch costs more than the product at this size."""
+        n_out, n = self.terms.shape
+        if y.ndim != 2 or y.shape[1] != n:  # the kernel reads n values per row unchecked
+            raise ValueError(f"rows of length {n} expected, got shape {y.shape}")
+        out = np.zeros((n_out, len(y)), dtype=complex)
+        _sparsetools.csr_matvecs(n_out, n, len(y), self.terms.indptr, self.terms.indices, self.terms.data,
+                                 np.ascontiguousarray(y.T, dtype=complex).ravel(), out.ravel())
+        return np.ascontiguousarray(out.T).reshape(len(y), 3, n)
 
 
 def hamiltonian_at(system, field, t):
@@ -171,97 +237,150 @@ def redfield_dissipator(system, phonon, h_now, secular=False):
 
 
 class RedfieldTable:
-    """The non-secular map of one cell, rho -> [Lambda rho - rho Lambda^dag, A],
-    with Lambda read from a table in r = |Omega|.
+    """The non-secular map of a row of cells, rho -> [Lambda rho - rho Lambda^dag, A],
+    with each cell's Lambda read from its own table in r = |Omega|.
 
     N = a^dag a + sigma+ sigma- commutes with h0 and A, and sigma+ raises it by
     one, so H(r e^{i phi}) = U H(r) U^dag with U = e^{i phi N}, and Lambda
     follows: Lambda(Omega)_jk = (Omega/r)^(N_j - N_k) Lambda(r)_jk, where
-    Lambda(r) is real.  It is sampled at TABLE_POINTS nodes on [0, r_max] and
-    two guard nodes past each end, from one batched eigh and one bath_rate
-    call, and read by the C1 cubic Hermite rule of IntracavityField.at.
+    Lambda(r) is real.  Cell c's table samples it at TABLE_POINTS nodes on
+    [0, r_max[c]] and two guard nodes past each end; one batched eigh and one
+    bath_rate call build every table of the row.  Between nodes it is read by
+    the C1 cubic Hermite rule of IntracavityField.at, the slopes being
+    fourth-order differences of the six samples around the interval, kept as
+    the cubic's coefficients per interval.  A scalar r_max is a row of one.
     """
+
+    # the Hermite rule on six samples as a cubic in f: row p holds the
+    # weights of the samples in the coefficient of f^p
+    CUBIC = np.array([[0, 0, 12, 0, 0, 0], [1, -8, 0, 8, -1, 0],
+                      [-2, 15, -28, 20, -6, 1], [1, -7, 16, -16, 7, -1]]) / 12.0
 
     def __init__(self, system, phonon, gen, r_max):
         n_fock = system.hilbert.n_fock  # A projects onto the indices >= n_fock
-        self.step = r_max / (TABLE_POINTS - 1) or 1.0  # a zero field reads r = 0 only
-        r = self.step * np.arange(-2, TABLE_POINTS + 2)
-        ev, vec = np.linalg.eigh(gen.h0.real + 0.5 * r[:, None, None] * (gen.sp + gen.sm).real)
-        gam = bath_rate(phonon, ev[:, None, :] - ev[:, :, None])  # [m, n] = E_n - E_m
-        up = vec[:, n_fock:]
-        self.samples = vec @ (up.transpose(0, 2, 1) @ up * (0.5 * gam)) @ vec.transpose(0, 2, 1)
+        r_max = np.atleast_1d(np.asarray(r_max, dtype=float))
+        # a zero field reads r = 0 only
+        self.step = np.where(r_max > 0.0, r_max / (TABLE_POINTS - 1), 1.0)
+        r = self.step[:, None] * np.arange(-2, TABLE_POINTS + 2)
+        ev, vec = np.linalg.eigh(gen.h0.real + 0.5 * r[..., None, None] * (gen.sp + gen.sm).real)
+        gam = bath_rate(phonon, ev[..., None, :] - ev[..., :, None])  # [m, n] = E_n - E_m
+        up = vec[..., n_fock:, :]
+        lam = vec @ (up.swapaxes(-1, -2) @ up * (0.5 * gam)) @ vec.swapaxes(-1, -2)
+        self.samples = lam.reshape(len(r_max), TABLE_POINTS + 4, -1)  # (cell, node, dim * dim)
+        windows = np.lib.stride_tricks.sliding_window_view(self.samples, 6, axis=1)
+        self.cubic = np.einsum("pk,cink->cipn", self.CUBIC, windows)  # (cell, interval, power, dim * dim)
         n_exc = np.rint(np.diag(gen.n_op + gen.pop).real).astype(int)
         self.exponent = n_exc[:, None] - n_exc[None, :]  # N_j - N_k
         a_diag = (np.arange(len(n_exc)) >= n_fock).astype(float)
         self.sign = a_diag[None, :] - a_diag[:, None]  # [z, A]_ij = z_ij (A_jj - A_ii)
 
+    def lam(self, omega, cells):
+        """Lambda(Omega) for omega of shape (..., len(cells)): the last axis
+        runs over the given cells, which read their own tables.  Returns
+        shape omega.shape + (dim, dim)."""
+        r = np.abs(omega)
+        x = r / self.step[cells]
+        i = np.minimum(x.astype(np.intp), TABLE_POINTS - 2)
+        powers = (x - i)[..., None, None] ** np.arange(4)
+        lam = np.matmul(powers, self.cubic[cells, i])
+        # the U(1) phase Omega / r, by components: a complex division
+        # overflows for a subnormal r; at r = 0 Lambda is real
+        safe = np.where(r > 0.0, r, 1.0)
+        phase = np.where(r > 0.0, omega.real / safe + 1j * (omega.imag / safe), 1.0)
+        dim = len(self.sign)
+        return lam.reshape(r.shape + (dim, dim)) * phase[..., None, None] ** self.exponent
+
     def __call__(self, omega, rho):
-        r = abs(omega)
-        x = r / self.step
-        i = min(int(x), TABLE_POINTS - 2)
-        f = x - i
-        # Hermite basis at f; the slopes are fourth-order differences of the
-        # six samples around the interval, as in IntracavityField.at
-        h10, h11, h01 = f * (1.0 - f) ** 2, f * f * (f - 1.0), f * f * (3.0 - 2.0 * f)
-        weights = np.array([h10, h11 - 8.0 * h10, 12.0 - 12.0 * h01 - 8.0 * h11,
-                            12.0 * h01 + 8.0 * h10, 8.0 * h11 - h10, -h11]) / 12.0
-        lam = (weights @ self.samples[i : i + 6].reshape(6, -1)).reshape(rho.shape)
-        if r:  # Python division: numpy's overflows for a subnormal r
-            lam = lam * (complex(omega) / r) ** self.exponent
-        return (lam @ rho - rho @ lam.conj().T) * self.sign
+        lam = self.lam(omega, np.arange(len(self.step)))
+        return ((lam @ rho - rho @ lam.conj().swapaxes(-1, -2)) * self.sign).reshape(np.shape(rho))
 
 
-def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=False):
+@dataclass(frozen=True)
+class Row:
+    """The cells of one ``propagate`` call, cell k driven by amplitudes[k] times its field."""
+
+    states: np.ndarray = _dfield(repr=False)  # (n_cells, n_t, dim, dim)
+    cells: tuple = _dfield(repr=False)  # one Trajectory per cell; its states are a view of these
+
+
+def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=False, amplitudes=None):
     """Integrate the master equation; return a Trajectory sampled on grid.
 
+    With ``amplitudes`` the call integrates a row: cell k is driven by
+    amplitudes[k] * field, the cells are integrated together, and the result
+    is a Row of their Trajectories.  Without it the one cell is driven by
+    field itself.  A cell's numbers do not depend on the row it is in.
+
     grid (default: ``ringdown_grid``, 600 points) only sets the samples.  RK45
-    covers the drive window to ``field.grid.t_end`` at rtol = tol, atol two
-    decades tighter (most matrix elements are far below unit scale); past it
-    the tail is closed exactly, and ``photons_out`` counts the whole ring-down.
+    (``_dormand_prince``) covers the drive window to ``field.grid.t_end`` at
+    rtol = tol, atol two decades tighter (most matrix elements are far below
+    unit scale); past it the tail is closed exactly, and ``photons_out``
+    counts the whole ring-down.  A failure raises a PropagationError whose
+    ``cell`` is the first failing cell of the row.
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol must lie in [1e-12, 1e-4]")
+    amps = np.array((1.0,) if amplitudes is None else amplitudes, dtype=float)
     gen, dim, d2 = Generator(system), system.hilbert.dim, system.hilbert.dim ** 2
     rho0 = ground_state(system.hilbert) if rho0 is None else rho0
     grid = ringdown_grid(system, field, 600) if grid is None else grid
 
-    if not phonon.enabled:
-        dissipate = None
-    elif secular:
-        def dissipate(omega, rho):
-            return redfield_dissipator(system, phonon, gen.hamiltonian(omega), True)(rho)
-    else:
-        dissipate = RedfieldTable(system, phonon, gen, field.magnitude_bound())
+    table = None
+    if phonon.enabled and not secular:
+        table = RedfieldTable(system, phonon, gen, amps * field.magnitude_bound())
 
-    def drift(omega, y):
-        l0_y, plus_y, minus_y = (gen.terms @ y).reshape(3, d2 + 1)
-        dy = l0_y + omega * plus_y + np.conj(omega) * minus_y
-        if dissipate is not None:
-            dy[:d2] += dissipate(omega, y[:d2].reshape(dim, dim)).ravel()
+    def drive(cells, times):
+        """The drive of the given cells at times (cells, stages), stage by
+        stage: the weights (1, Omega, Omega*) of the three generator terms,
+        and each cell's Lambda and Lambda^dag."""
+        omega = np.conj(amps[cells, None] * field.at(times)).T
+        weights = np.ones(omega.shape + (1, 3), dtype=complex)
+        weights[..., 0, 1], weights[..., 0, 2] = omega, np.conj(omega)
+        lam = lam_d = [None] * len(omega)
+        if table is not None:
+            lam = table.lam(omega, cells)
+            lam_d = lam.conj().swapaxes(-1, -2).copy()
+        return list(zip(weights, lam, lam_d))
+
+    def drift(y, stage, out=None):
+        """dy/dt of each row of y, one cell each, under its stage of the
+        drive, written to out (rows, 1, d2 + 1) if given."""
+        weights, lam, lam_d = stage
+        # gen.apply is contiguous for any number of rows: matmul's arithmetic follows the layout
+        dy = np.matmul(weights, gen.apply(y), out=out)[:, 0]
+        if lam is not None:
+            rho = y[:, :d2].reshape(-1, dim, dim)
+            dy[:, :d2] += ((lam @ rho - rho @ lam_d) * table.sign).reshape(-1, d2)
+        elif phonon.enabled:
+            for k, (w, r) in enumerate(zip(weights, y[:, :d2].reshape(-1, dim, dim))):
+                h = gen.hamiltonian(w[0, 1])
+                dy[k, :d2] += redfield_dissipator(system, phonon, h, True)(r).ravel()
         return dy
 
-    def rhs(t, y):
-        return drift(np.conj(field.at(t)), y)
-
     times = grid.times
-    states = np.empty((len(times), dim, dim), dtype=complex)
+    n_cells, n_t = len(amps), len(times)
+    states = np.empty((n_cells, n_t, dim, dim), dtype=complex)
     t_w = max(field.grid.t_end, grid.t_start)  # the drive is zero from here on
     n_in = int(np.searchsorted(times, t_w))  # samples before t_w; the tail has the rest
-    y = np.append(rho0.ravel(), 0.0).astype(complex)
+    y = np.tile(np.append(rho0.ravel(), 0.0).astype(complex), (n_cells, 1))
+    nfev, failures = [0] * n_cells, [None] * n_cells
     if t_w > grid.t_start:
         # cap the step so the adaptive integrator cannot leap over the whole
         # pulse window: a step whose stage points all land where the field is
         # zero reports zero local error and would be accepted
         max_step = (field.grid.t_end - field.grid.t_start) / 64.0
-        sol = solve_ivp(rhs, (grid.t_start, t_w), y, method="RK45", rtol=tol, atol=1e-2 * tol,
-                        t_eval=np.append(times[:n_in], t_w), max_step=max_step)
-        if not sol.success:
-            raise PropagationError(f"integrator failed: {sol.message}")
-        states[:n_in] = sol.y[:d2, :n_in].T.reshape(-1, dim, dim)
-        y = sol.y[:, -1]
+        window = states[:, :n_in].reshape(n_cells, n_in, d2)
+        y, nfev, failures = _dormand_prince(drive, drift, y, grid.t_start, t_w, times[:n_in],
+                                            window, tol, 1e-2 * tol, max_step)
 
     # the constant tail generator, column by column from the same drift
-    l_tail = np.column_stack([drift(0.0, e) for e in np.eye(d2 + 1, dtype=complex)])
+    weights = np.zeros((d2 + 1, 1, 3), dtype=complex)
+    weights[:, 0, 0] = 1.0  # Omega = 0
+    lam0 = lam0_d = None
+    if table is not None:
+        lam0 = table.lam(np.zeros(1), np.arange(1))[0]  # Lambda(0) is the same in every cell's table
+        lam0, lam0_d = (np.broadcast_to(m, (d2 + 1, dim, dim)) for m in (lam0, lam0.conj().T))
+    l_tail = drift(np.eye(d2 + 1, dtype=complex), (weights, lam0, lam0_d)).T
     l_rho, flux = l_tail[:d2, :d2], l_tail[d2, :d2]
     # L_T rho_ss = 0, Tr rho_ss = 1 and L_T x = rho_ss - rho_T, Tr x = 0: the
     # rho_00 row is redundant (L_T preserves the trace), so Tr takes its place
@@ -270,22 +389,152 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=Fal
     n_ss = (flux @ rho_ss).real / system.kappa
     if not abs(n_ss) <= 1e-10:  # NaN too: a singular L_T has no unique steady state
         raise PropagationError(f"steady state holds {n_ss:.2e} photons: no finite yield")
-    x = lu_solve(lu, np.append(0.0, (rho_ss - y[:d2])[1:]))
-    photons_out = float(y[d2].real + (flux @ x).real)
+    y[[k for k, failure in enumerate(failures) if failure]] = 0.0  # their tails go unread
+    photons_out = [float(y_k[d2].real + (flux @ lu_solve(lu, np.append(0.0, (rho_ss - y_k[:d2])[1:]))).real)
+                   for y_k in y]
 
-    if n_in < len(times):
-        # samples past the window: powers of P = expm(L_T dt), written in place
-        tail, power = states[n_in:].reshape(-1, d2), expm(l_rho * grid.dt)
-        tail[0] = expm_multiply(l_rho * (times[n_in] - t_w), y[:d2])
-        for k in range(1, len(tail)):
-            np.matmul(power, tail[k - 1], out=tail[k])
+    if n_in < n_t:
+        # samples past the window, written in place: the first one is
+        # expm(L_T (t - t_w)) rho_T, and sample j + m is P^m times sample j for
+        # P = expm(L_T dt), so m doubles: one matrix product per cell each time
+        tail = states[:, n_in:].reshape(n_cells, -1, d2)
+        np.matmul(expm(l_rho * (times[n_in] - t_w)), y[:, :d2, None], out=tail[:, :1].swapaxes(1, 2))
+        power, m = expm(l_rho * grid.dt).T, 1
+        while m < tail.shape[1]:
+            n_new = min(m, tail.shape[1] - m)
+            np.matmul(tail[:, :n_new], power, out=tail[:, m : m + n_new])
+            power, m = power @ power, 2 * m
 
-    trace_drift = np.abs(np.einsum("tii->t", states).real - 1.0).max()
-    if trace_drift > 1e-8 and tol <= 1e-8:
-        raise PropagationError(f"trace drift {trace_drift:.2e} exceeds 1e-8")
-    final_min_eig = np.linalg.eigvalsh(0.5 * (states[-1] + states[-1].conj().transpose())).min()
-    if final_min_eig < -1e-6:
-        raise PropagationError(f"state eigenvalue {final_min_eig:.2e} below -1e-6")
+    cells = []
+    for k, (cell_states, failure) in enumerate(zip(states, failures)):
+        if failure:
+            raise PropagationError(failure, cell=k)
+        trace_drift = np.abs(np.einsum("tii->t", cell_states).real - 1.0).max()
+        if trace_drift > 1e-8 and tol <= 1e-8:
+            raise PropagationError(f"trace drift {trace_drift:.2e} exceeds 1e-8", cell=k)
+        final = cell_states[-1]
+        final_min_eig = np.linalg.eigvalsh(0.5 * (final + final.conj().T)).min()
+        if final_min_eig < -1e-6:
+            raise PropagationError(f"state eigenvalue {final_min_eig:.2e} below -1e-6", cell=k)
+        photon, excited = (np.einsum("tij,ji->t", cell_states, op).real for op in (gen.n_op, gen.pop))
+        drive_k = field if amplitudes is None else IntracavityField(field.grid, amps[k] * field.envelope)
+        cells.append(Trajectory(grid, cell_states, photon, excited, drive_k, photons_out[k], nfev[k]))
+    return cells[0] if amplitudes is None else Row(states, tuple(cells))
 
-    photon, excited = (np.einsum("tij,ji->t", states, op).real for op in (gen.n_op, gen.pop))
-    return Trajectory(grid, states, photon, excited, field, photons_out)
+
+def _rms(x):
+    """RMS norm of each row of the complex array x, as a list."""
+    v = x.view(float)
+    return [sqrt(a / x.shape[1]) for a in (v * v).sum(axis=1).tolist()]
+
+
+def _dormand_prince(drive, drift, y0, t0, t_bound, t_eval, out, rtol, atol, max_step):
+    """RK45 over [t0, t_bound] for each row of y0, one cell each.
+
+    The Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 19 (1980)) with
+    scipy's RK45 tableau, dense output and step control (Hairer, Norsett and
+    Wanner, Solving ODEs I, Sec. II.4): the initial-step rule, safety 0.9,
+    factor limits 0.2 and 10 and no growth right after a rejection, the RMS
+    error norm, the max_step cap and the clip to t_bound.  Every cell keeps
+    its own t, step and accept/reject decision, so it takes the steps it
+    would take alone.  Only the state arithmetic is shared, and it is
+    written so that a cell's numbers are bit for bit the same in any row:
+    cells lie on the leading axis and meet only in elementwise operations
+    and in per-cell matrix products.
+
+    drive(cells, times) returns the drive of the given cells at times
+    (cells, stages), stage by stage; drift(y, stage) the derivative of each
+    row of y under one stage.  The dense output fills the leading columns of
+    out[cell, j] at t_eval[j].  Returns the states at t_bound, the RHS
+    evaluations of each cell and, per cell, None or why it failed (its state
+    at t_bound is then meaningless).
+    """
+    n_cells, n = y0.shape
+    cells = np.arange(n_cells)  # the original index of each row still running
+    nfev, failures, y_end = [2] * n_cells, [None] * n_cells, y0.copy()
+    samples, interval = t_eval.tolist(), t_bound - t0
+
+    # initial step (Hairer, Norsett and Wanner, Sec. II.4)
+    y = y0
+    f = drift(y, drive(cells, np.full((n_cells, 1), t0))[0])
+    scale = atol + np.abs(y) * rtol
+    h0 = [min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, interval)
+          for a, b in zip(_rms(y / scale), _rms(f / scale))]
+    h0_col = np.array(h0)[:, None]
+    f1 = drift(y + h0_col * f, drive(cells, t0 + h0_col)[0])
+    d1, d2 = _rms(f / scale), _rms((f1 - f) / scale)
+    h_abs = [min(100 * h, max(1e-6, h * 1e-3) if a <= 1e-15 and b / h <= 1e-15 else (0.01 / max(a, b / h)) ** 0.2,
+                 interval, max_step) for h, a, b in zip(h0, d1, d2)]
+
+    # per cell: t, the next attempt's step, whether that attempt starts a
+    # step, whether the step had a rejection, its smallest step, its next sample
+    t, fresh, rejected = [t0] * n_cells, [True] * n_cells, [False] * n_cells
+    min_step, next_sample = [0.0] * n_cells, [0] * n_cells
+    abs_y = np.abs(y)
+    finished = [c for c, h in enumerate(h_abs) if not h > 0.0]  # NaN: f is not finite
+    for c in finished:
+        failures[c] = TOO_SMALL
+    while True:
+        if finished:  # these cells stop: drop their rows
+            y_end[cells[finished]] = y[finished]
+            keep = [c for c in range(len(cells)) if c not in finished]
+            cells, y, f, abs_y = cells[keep], y[keep], f[keep], abs_y[keep]
+            t, h_abs, fresh, rejected, min_step, next_sample = (
+                [v[c] for c in keep] for v in (t, h_abs, fresh, rejected, min_step, next_sample))
+        if not len(cells):
+            return y_end, nfev, failures
+        t_new = []
+        for c in range(len(cells)):
+            if fresh[c]:
+                min_step[c] = 10 * abs(nextafter(t[c], inf) - t[c])
+                h_abs[c] = min(max(h_abs[c], min_step[c]), max_step)
+                fresh[c] = rejected[c] = False
+            t_new.append(min(t[c] + h_abs[c], t_bound))
+            h_abs[c] = t_new[c] - t[c]
+
+        h, t_old = np.array(h_abs)[:, None], np.array(t)
+        stages = drive(cells, t_old[:, None] + h * STAGE_C)
+        wh = RK_W * h[:, :, None]  # per cell: the tableau times h, y's weight kept at 1
+        wh[:, :, 0] = RK_W[:, 0]
+        k = np.empty((len(cells), 8, n), dtype=complex)  # y, then the stages k_0 .. k_6
+        k[:, 0], k[:, 1] = y, f
+        for s in range(1, 6):
+            drift(np.matmul(wh[:, s : s + 1, : s + 1], k[:, : s + 1])[:, 0], stages[s - 1], k[:, s + 1 : s + 2])
+        y_new = np.matmul(wh[:, 6:7, :7], k[:, :7])[:, 0]
+        drift(y_new, stages[5], k[:, 7:])
+        abs_new = np.abs(y_new)
+        errors = _rms(np.matmul(wh[:, 7:], k)[:, 0] / (atol + np.maximum(abs_y, abs_new) * rtol))
+
+        accepted, finished, dense_rows, dense_at = [], [], [], []
+        for c, err in enumerate(errors):
+            nfev[cells[c]] += 6
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
+                h_abs[c] *= min(1, factor) if rejected[c] else factor
+                accepted.append(c)
+                fresh[c] = True
+                stop = bisect_right(samples, t_new[c])
+                dense_rows += [c] * (stop - next_sample[c])
+                dense_at += range(next_sample[c], stop)
+                next_sample[c] = stop
+                t[c] = t_new[c]
+                if t[c] == t_bound:
+                    finished.append(c)
+            else:
+                h_abs[c] *= max(0.2, 0.9 * err ** -0.2)
+                rejected[c] = True
+                if h_abs[c] < min_step[c]:
+                    failures[cells[c]] = TOO_SMALL
+                    finished.append(c)
+        if dense_rows:
+            # RK45's quartic dense output on the accepted steps: y plus the
+            # stages weighted by P [x, x^2, x^3, x^4] h at x = (t_j - t) / h
+            rows = np.array(dense_rows)
+            x = (t_eval[dense_at] - t_old[rows]) / h[rows, 0]
+            weights = np.matmul(x[:, None, None] ** np.arange(1, 5), RK_P.T) * h[rows, None]
+            dense = y[rows] + np.matmul(weights, k[rows, 1:])[:, 0]
+            out[cells[rows], dense_at] = dense[:, : out.shape[2]]
+        if len(accepted) == len(cells):
+            y, f, abs_y = y_new, k[:, 7], abs_new
+        else:
+            y[accepted], f[accepted], abs_y[accepted] = y_new[accepted], k[accepted, 7], abs_new[accepted]

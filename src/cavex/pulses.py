@@ -123,8 +123,24 @@ class IntracavityField:
         cubic = np.maximum(mag[2:-3], mag[3:-2]) + 4.0 / 27.0 * (slope[:-1] + slope[1:])
         return float(max(mag.max(), cubic.max(initial=0.0)))
 
+    @cached_property
+    def _cubic(self):
+        """Per-interval cubic sum_p c_p f^p in f = (t - t_i) / dt: row i holds
+        (c_0, c_1, c_2, c_3) of interval i."""
+        e = self.envelope
+        coef = np.zeros((len(e) - 1, 4), dtype=complex)
+        coef[:, 0] = e[:-1]
+        coef[:, 1] = e[1:] - e[:-1]  # linear where no cubic is set below
+        d = (e[:-4] - e[4:] + 8.0 * (e[3:-1] - e[1:-3])) / 12.0  # slopes times dt at 2 .. n-3
+        d0, d1, e0, e1 = d[:-1], d[1:], e[2:-3], e[3:-2]
+        coef[2:-2, 1] = d0
+        coef[2:-2, 2] = 3.0 * (e1 - e0) - 2.0 * d0 - d1
+        coef[2:-2, 3] = 2.0 * (e0 - e1) + d0 + d1
+        return coef
+
     def at(self, t):
-        """Envelope at time t by C1 cubic Hermite interpolation; zero outside the grid.
+        """Envelope at time t (a scalar or an array) by C1 cubic Hermite
+        interpolation; zero outside the grid.
 
         The slopes are fourth-order central differences of the six nearest
         samples, so the drive is fourth-order accurate and the integrator
@@ -132,19 +148,12 @@ class IntracavityField:
         the envelope is below 1e-6 of its peak, are linear.
         """
         g = self.grid
-        if t <= g.t_start or t >= g.t_end:
-            return 0.0 + 0.0j
-        x = (t - g.t_start) / g.dt
-        i = min(int(x), g.n_points - 2)
-        f = float(x - i)  # a numpy scalar would make the complex arithmetic below slow
-        if i < 2 or i > g.n_points - 4:
-            return self.envelope[i] * (1.0 - f) + self.envelope[i + 1] * f
-        em2, em1, e0, e1, e2, e3 = self.envelope[i - 2 : i + 4].tolist()
-        d0 = (em2 - e2 + 8.0 * (e1 - em1)) / 12.0  # slopes times dt
-        d1 = (em1 - e3 + 8.0 * (e2 - e0)) / 12.0
-        c2 = 3.0 * (e1 - e0) - 2.0 * d0 - d1
-        c3 = 2.0 * (e0 - e1) + d0 + d1
-        return e0 + f * (d0 + f * (c2 + f * c3))
+        t = np.asarray(t, dtype=float)
+        inside = (t > g.t_start) & (t < g.t_end)  # False for NaN as well
+        x = np.where(inside, (t - g.t_start) / g.dt, 0.0)
+        i = np.minimum(x.astype(np.intp), g.n_points - 2)
+        value = np.matmul((x - i)[..., None, None] ** np.arange(4), self._cubic[i][..., None])
+        return np.where(inside, value[..., 0, 0], 0.0)[()]
 
 
 def default_field_grid(pulse, mode, n_points=8192):

@@ -5,16 +5,22 @@ simulations.  Every sweep, whether a ``cavex sweep`` recipe or a Python
 call, runs through the one executor ``run_sweep``, which honours the spec's
 axis paths and reduction and derives the metadata from the spec alone.  The
 figure-class functions (power curves, laser- and cavity-detuning maps,
-mode-splitting maps) only build a SweepSpec for it.  Cells are
-deterministic functions of the immutable RunConfig, so they may run in any
-order and on any number of workers; results are gathered by cell index,
-making the output independent of scheduling.
+mode-splitting maps) only build a SweepSpec for it.
+
+A job is a row: consecutive cells (in row-major order) that differ only in
+``pulse.amplitude_pi``, at most ROW_CELLS of them.  The filtered field is
+linear in the amplitude, so a row builds its field once at unit amplitude
+and ``propagate`` integrates its cells together.  Each cell keeps its own
+steps, so its value is bit for bit that of ``run_cell``, whatever row it is
+in.  Cells are deterministic functions of the immutable RunConfig, so the
+rows may run in any order and on any number of workers; results are
+gathered by cell index, making the output independent of scheduling.
 """
 
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field as _dfield
+from dataclasses import dataclass, field as _dfield, replace
 from functools import partial
 from multiprocessing import get_context
 
@@ -27,6 +33,9 @@ from .observables import beta_collection, figure_of_merit
 from .pulses import intracavity_field_numeric, pulse_area
 
 FOCK_TOL = 1e-4  # the largest pi_e shift from n_max to n_max + 2 that counts as converged
+# the most cells one job integrates together: it bounds a job's states (2 MB
+# per cell at 2000 samples), and a 49-amplitude power row still makes 7 jobs
+ROW_CELLS = 8
 
 
 class SweepCellError(RuntimeError):
@@ -49,28 +58,52 @@ class SweepResult:
 
 def run_cell(config):
     """One full simulation: filtered field, propagation, figures of merit."""
-    pulse = config.pulse()
-    mode = config.excitation_mode()
-    system = config.system()
-    phonon = config.phonon()
-    field = intracavity_field_numeric(pulse, mode, config.field_grid())
-    grid = ringdown_grid(system, field, config.n_traj_points)
-    traj = propagate(system, field, phonon, grid=grid, tol=config.tol, secular=config.secular)
-    fom = figure_of_merit(traj, system)
-    return fom, pulse_area(field), traj
+    return _run_row((config,))[0]
 
 
-def _cell_value(config, reduce_kind):
-    fom, _, _ = run_cell(config)
-    return fom.pi_e if reduce_kind == "PiE" else fom.eta_c
+def _run_row(configs):
+    """Cells that differ only in pulse.amplitude_pi, simulated together: one
+    field build at unit amplitude, one propagate call.  Returns the
+    (fom, area, traj) of each cell."""
+    unit = replace(configs[0], amplitude_pi=1.0)
+    system = unit.system()
+    field = intracavity_field_numeric(unit.pulse(), unit.excitation_mode(), unit.field_grid())
+    grid = ringdown_grid(system, field, unit.n_traj_points)
+    amps = tuple(config.amplitude_pi for config in configs)
+    row = propagate(system, field, unit.phonon(), grid=grid, tol=unit.tol, secular=unit.secular,
+                    amplitudes=amps)
+    area = pulse_area(field)
+    return [(figure_of_merit(traj, system), area * amp, traj) for amp, traj in zip(amps, row.cells)]
+
+
+def _row_values(configs, reduce_kind):
+    return tuple(fom.pi_e if reduce_kind == "PiE" else fom.eta_c for fom, _, _ in _run_row(configs))
+
+
+def _rows(cells):
+    """The jobs: runs of consecutive cells that differ only in the amplitude,
+    each split into near-equal parts of at most ROW_CELLS cells."""
+    runs = []
+    for config in cells:
+        if runs and replace(config, amplitude_pi=runs[-1][0].amplitude_pi) == runs[-1][0]:
+            runs[-1].append(config)
+        else:
+            runs.append([config])
+    jobs = []
+    for run in runs:
+        parts = -(-len(run) // ROW_CELLS)
+        bounds = [len(run) * i // parts for i in range(parts + 1)]
+        jobs += [tuple(run[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return jobs
 
 
 def run_sweep(config, spec, workers=1):
     """Execute a SweepSpec and return a SweepResult.
 
-    Every job is one ``run_cell``; ``MaxOverAmplitude`` runs its
-    ``amplitude_grid`` as a last axis of ``EtaC`` cells and keeps the maximum.
-    The first failed cell in row-major order stops the sweep; a dead worker fails its cell.
+    Every job is one row of cells (see the module docstring);
+    ``MaxOverAmplitude`` runs its ``amplitude_grid`` as a last axis of
+    ``EtaC`` cells and keeps the maximum.  The first failed cell in
+    row-major order stops the sweep; a dead worker fails its row's first cell.
 
     In a ``cavity_map`` both polarization modes shift together with the
     cavity: setting ``system.delta_omega_c_GHz`` also moves
@@ -101,21 +134,27 @@ def run_sweep(config, spec, workers=1):
     shape = tuple(len(points) for _, points in cell_axes)
 
     t0 = time.monotonic()
-    values = np.full(shape, np.nan)
-    cell = partial(_cell_value, reduce_kind=reduce_kind)
+    values = np.full(len(cells), np.nan)
+    jobs = _rows(cells)
+    job = partial(_row_values, reduce_kind=reduce_kind)
     # a dead worker breaks the executor: its cells fail, none is respawned
     spawn = get_context("spawn")
     with ProcessPoolExecutor(workers, mp_context=spawn) if workers > 1 else nullcontext() as pool:
-        results = pool.map(cell, cells) if pool else map(cell, cells)
-        for idx in np.ndindex(shape):
+        results = pool.map(job, jobs) if pool else map(job, jobs)
+        start = 0
+        for row in jobs:
             try:
-                values[idx] = next(results)
+                values[start : start + len(row)] = next(results)
             except Exception as exc:
-                if pool:  # stop the running cells, cancel those not yet started
+                if pool:  # stop the running rows, cancel those not yet started
                     for proc in pool._processes.values():
                         proc.terminate()
                     pool.shutdown(cancel_futures=True)
+                # a PropagationError names the failing cell of its row
+                idx = tuple(int(i) for i in np.unravel_index(start + getattr(exc, "cell", 0), shape))
                 raise SweepCellError(f"cell {idx} failed: {exc}") from exc
+            start += len(row)
+    values = values.reshape(shape)
     if spec.reduce == "MaxOverAmplitude":
         values = values.max(axis=-1)
 

@@ -448,8 +448,8 @@ axis2_values = 3
     def test_two_axis_csv_is_row_major(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             sweeps,
-            "_cell_value",
-            lambda config, reduce_kind: config.delta_omega_c_GHz * 10 + config.delta_omega_L_GHz,
+            "_row_values",
+            lambda row, reduce_kind: tuple(c.delta_omega_c_GHz * 10 + c.delta_omega_L_GHz for c in row),
         )
         cfg = write_ini(
             tmp_path,

@@ -382,6 +382,39 @@ class TestRingdownTail:
         assert np.abs(closed.states - direct.states).max() < 1e-9
 
 
+class TestRow:
+    def test_amplitudes_scale_the_field(self):
+        # a row cell is the single cell driven by the scaled field
+        cfg = blue_case(amplitude_pi=1.0, phonon_enabled=False, n_field_points=4096)
+        system = cfg.system()
+        field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
+        row = propagate(system, field, PHONONS_OFF, amplitudes=(2.0, 5.0))
+        assert row.states.shape == (2, 600, system.hilbert.dim, system.hilbert.dim)
+        for amp, traj in zip((2.0, 5.0), row.cells):
+            np.testing.assert_array_equal(traj.field.envelope, amp * field.envelope)
+            alone = propagate(system, traj.field, PHONONS_OFF)
+            assert abs(traj.photons_out - alone.photons_out) < 1e-12
+            assert np.shares_memory(traj.states, row.states)
+
+    def test_generator_apply_matches_the_sparse_product_and_checks_its_input(self):
+        system = blue_case().system()
+        gen = Generator(system)
+        y = np.random.default_rng(2).normal(size=(3, system.hilbert.dim ** 2 + 1)) + 0j
+        np.testing.assert_allclose(gen.apply(y), (gen.terms @ y.T).T.reshape(3, 3, -1), rtol=1e-14)
+        with pytest.raises(ValueError, match="rows of length"):
+            gen.apply(y[:, :-1])  # the kernel would read past each row
+
+    def test_failing_cell_is_named_and_fails_alone(self):
+        # a cell whose drive is not finite fails its step control; the
+        # others are integrated as they would be alone
+        cfg = blue_case(amplitude_pi=1.0, phonon_enabled=False, n_field_points=4096)
+        system = cfg.system()
+        field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
+        with pytest.raises(PropagationError, match="step size") as info:
+            propagate(system, field, PHONONS_OFF, amplitudes=(2.0, np.nan, 3.0))
+        assert info.value.cell == 1
+
+
 class TestMirrorSymmetry:
     def test_phonon_free_blue_red_equivalence(self):
         amps = 7.5

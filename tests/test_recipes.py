@@ -34,11 +34,11 @@ def test_recipe_runs_as_written(path, monkeypatch):
     config, spec = load_config(path), load_sweep(path)
     cells = []
 
-    def record(cfg, reduce_kind):
-        cells.append((cfg, reduce_kind))
-        return cfg.amplitude_pi
+    def record(row, reduce_kind):
+        cells.extend((cfg, reduce_kind) for cfg in row)
+        return tuple(cfg.amplitude_pi for cfg in row)
 
-    monkeypatch.setattr(sweeps, "_cell_value", record)
+    monkeypatch.setattr(sweeps, "_row_values", record)
     result = sweeps.run_sweep(config, spec)
 
     assert [path for path, _ in result.axes] == [p for p in (spec.axis1_path, spec.axis2_path) if p]

@@ -1,19 +1,22 @@
 """Sweep engine: determinism, metadata, refinement, convergence."""
 
+import gc
 import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cavex import sweeps
+from cavex import dynamics, sweeps
 from cavex.config import ConfigError, SweepSpec, apply_override, blue_case, load_config, red_case
+from cavex.dynamics import PropagationError
 from cavex.pulses import GridResolutionError, intracavity_field_numeric, pulse_area
 from cavex.sweeps import (
     SweepCellError,
@@ -58,14 +61,18 @@ class TestPowerSweep:
         assert 0.0 < res.metadata["intracavity_area_pi"][1] < 4.0
         assert "config_hash" in res.metadata and "wall_time_s" in res.metadata
 
-    def test_one_field_build_per_cell_plus_one(self, monkeypatch):
+    @pytest.mark.parametrize("row_cells, jobs", [(8, 1), (2, 2)])
+    def test_one_field_build_per_row_job_plus_one(self, monkeypatch, row_cells, jobs):
+        # a row builds its field once, at unit amplitude; _power_metadata once more
         calls = []
         build = sweeps.intracavity_field_numeric
         monkeypatch.setattr(
             sweeps, "intracavity_field_numeric", lambda *args: calls.append(args) or build(*args)
         )
+        monkeypatch.setattr(sweeps, "ROW_CELLS", row_cells)
         power_sweep(blue_case(phonon_enabled=False, **FAST), [0.0, 1.0, 2.0])
-        assert len(calls) == 3 + 1
+        assert len(calls) == jobs + 1
+        assert all(pulse.amplitude == np.pi for pulse, _, _ in calls)
 
     @pytest.mark.parametrize("case", [blue_case, red_case])
     def test_intracavity_area_matches_per_amplitude_builds(self, case):
@@ -82,10 +89,84 @@ class TestPowerSweep:
         assert areas[0] == 0.0
 
 
+class TestRows:
+    """A row of amplitudes is integrated together, and each of its cells is
+    bit for bit the cell that run_cell computes alone."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(phonon_enabled=False),
+            dict(),
+            dict(secular=True, tol=1e-6),
+        ],
+        ids=["phonon-free", "non-secular", "secular"],
+    )
+    def test_every_cell_equals_its_own_run_cell(self, overrides):
+        cfg = blue_case(**FAST, **overrides)
+        row = [apply_override(cfg, "pulse.amplitude_pi", amp) for amp in (3.0, 0.0, 7.0)]
+        results = sweeps._run_row(row)
+        for (fom, area, traj), cell in zip(results, row):
+            alone_fom, alone_area, alone = run_cell(cell)
+            assert fom.pi_e == alone_fom.pi_e
+            assert traj.rhs_calls == alone.rhs_calls
+            assert area == alone_area
+            np.testing.assert_array_equal(traj.states, alone.states)
+        assert results[1][0].pi_e == 0.0
+
+    def test_split_rows_give_the_values_of_one_row(self, monkeypatch):
+        cfg = blue_case(phonon_enabled=False, **FAST)
+        amps = [0.0, 1.0, 2.5, 4.0, 5.5]
+        whole = power_sweep(cfg, amps)
+        monkeypatch.setattr(sweeps, "ROW_CELLS", 2)
+        assert [len(row) for row in sweeps._rows([cfg] * 5)] == [1, 2, 2]
+        split = power_sweep(cfg, amps)
+        np.testing.assert_array_equal(split.values, whole.values)
+        alone = [run_cell(apply_override(cfg, "pulse.amplitude_pi", amp))[0].pi_e for amp in amps]
+        assert whole.values.tolist() == alone
+
+    def test_rows_follow_the_amplitude_axis_only(self):
+        cfg = blue_case(**FAST)
+
+        def cell(dwl, amp):
+            return apply_override(apply_override(cfg, "pulse.delta_omega_L_GHz", dwl), "pulse.amplitude_pi", amp)
+
+        by_detuning = [cell(dwl, amp) for dwl in (80.0, 96.0) for amp in (1.0, 2.0, 3.0)]
+        assert [len(row) for row in sweeps._rows(by_detuning)] == [3, 3]
+        # with the amplitude outermost, consecutive cells differ in the detuning
+        by_amplitude = [cell(dwl, amp) for amp in (1.0, 2.0, 3.0) for dwl in (80.0, 96.0)]
+        assert [len(row) for row in sweeps._rows(by_amplitude)] == [1] * 6
+
+    def test_failing_cell_inside_a_row_names_its_coordinates(self, monkeypatch):
+        # the second detuning row fails from its 2 pi cell on: the error names
+        # that cell, the first failing one in row-major order
+        propagate, rows = sweeps.propagate, []
+
+        def failing(*args, amplitudes, **kwargs):
+            rows.append(amplitudes)
+            if len(rows) == 2:
+                raise PropagationError("trace drift 1e-7 exceeds 1e-8", cell=amplitudes.index(2.0))
+            return propagate(*args, amplitudes=amplitudes, **kwargs)
+
+        monkeypatch.setattr(sweeps, "propagate", failing)
+        spec = SweepSpec(
+            kind="detuning_map",
+            axis1_path="pulse.delta_omega_L_GHz",
+            axis1_values=(80.0, 96.0),
+            axis2_path="pulse.amplitude_pi",
+            axis2_values=(1.0, 2.0, 3.0),
+        )
+        with pytest.raises(SweepCellError, match=r"cell \(1, 1\) failed: trace drift"):
+            run_sweep(blue_case(phonon_enabled=False, **FAST), spec)
+        assert rows == [(1.0, 2.0, 3.0)] * 2
+
+
 class TestMetadataFollowsTheSpec:
     @pytest.fixture(autouse=True)
     def stub_cells(self, monkeypatch):
-        monkeypatch.setattr(sweeps, "_cell_value", lambda config, reduce_kind: config.amplitude_pi)
+        monkeypatch.setattr(
+            sweeps, "_row_values", lambda row, reduce_kind: tuple(cfg.amplitude_pi for cfg in row)
+        )
 
     def test_power_metadata_needs_an_amplitude_axis_reduced_to_pi_e(self):
         cfg = blue_case(**FAST)
@@ -125,6 +206,31 @@ class TestRunCell:
         )
         pi_e = [run_cell(replace(cfg, n_traj_points=n))[0].pi_e for n in (600, 2000, 32000)]
         assert max(pi_e) - min(pi_e) <= 1e-12
+
+
+    def test_leaves_no_cycle_holding_its_field_or_table(self, monkeypatch):
+        # reference counting alone frees a cell's field envelope and Redfield
+        # table once its result is dropped: no cycle waits for the collector
+        refs, build, table = [], sweeps.intracavity_field_numeric, dynamics.RedfieldTable
+
+        def recorded(make, key):
+            def wrapper(*args):
+                made = make(*args)
+                refs.append(weakref.ref(key(made)))
+                return made
+
+            return wrapper
+
+        monkeypatch.setattr(sweeps, "intracavity_field_numeric", recorded(build, lambda f: f.envelope))
+        monkeypatch.setattr(dynamics, "RedfieldTable", recorded(table, lambda t: t))
+        gc.disable()
+        try:
+            result = run_cell(blue_case(amplitude_pi=2.0, **FAST))
+            del result
+            assert len(refs) == 2
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestAgainstFilterEquationReference:
