@@ -38,7 +38,7 @@ from .pulses import (
 )
 from .qcore import HilbertSpec, annihilation, sigma_minus, partial_trace_tls
 from .phonons import PhononSpec, spectral_density, bath_rate
-from .dynamics import SystemSpec, Trajectory, hamiltonian_at, propagate
+from .dynamics import Row, SystemSpec, Trajectory, hamiltonian_at, propagate
 from .observables import (
     FigureOfMerit,
     purcell_rate,

@@ -33,7 +33,6 @@ from math import inf, nextafter, sqrt
 import numpy as np
 import scipy.sparse
 from scipy.linalg import expm, lu_factor, lu_solve
-from scipy.sparse import _sparsetools
 
 from .observables import purcell_rate
 from .phonons import bath_rate
@@ -73,6 +72,24 @@ RK_W[1:6, 1:6], RK_W[6, 1:7], RK_W[7, 1:] = RK_A[1:], RK_B, RK_E
 RK_W[1:7, 0] = 1.0
 STAGE_C = np.append(RK_C[1:], 1.0)
 TOO_SMALL = "integrator failed: required step size is less than spacing between numbers."
+
+
+def _csr_kernel():
+    """scipy's private CSR multi-vector product, or None if this scipy has
+    none that takes the arguments scipy 1.17 takes and gets a small product
+    right: it is not public API, and the sparse operator is the fallback."""
+    try:
+        from scipy.sparse._sparsetools import csr_matvecs
+
+        out = np.zeros(4, dtype=complex)  # [[1, 0], [0, 2]] @ [[1, 2], [3, 4]]
+        csr_matvecs(2, 2, 2, np.array([0, 1, 2], dtype=np.int32), np.array([0, 1], dtype=np.int32),
+                    np.array([1.0, 2.0], dtype=complex), np.arange(1.0, 5.0).astype(complex), out)
+    except (ImportError, TypeError, ValueError):  # gone, or called otherwise
+        return None
+    return csr_matvecs if out.tolist() == [1, 2, 6, 8] else None
+
+
+CSR_MATVECS = _csr_kernel()
 
 
 def __getattr__(name):
@@ -169,14 +186,19 @@ class Generator:
 
     def apply(self, y):
         """The three terms applied to each row of y: shape (rows, 3, d2 + 1),
-        C-contiguous.  scipy's CSR kernel is called directly, as the sparse
-        array's operator dispatch costs more than the product at this size."""
+        C-contiguous.  scipy's CSR kernel is called directly when it is there
+        (CSR_MATVECS), as the sparse array's operator dispatch costs more than
+        the product at this size; the operator runs the same kernel."""
         n_out, n = self.terms.shape
         if y.ndim != 2 or y.shape[1] != n:  # the kernel reads n values per row unchecked
             raise ValueError(f"rows of length {n} expected, got shape {y.shape}")
-        out = np.zeros((n_out, len(y)), dtype=complex)
-        _sparsetools.csr_matvecs(n_out, n, len(y), self.terms.indptr, self.terms.indices, self.terms.data,
-                                 np.ascontiguousarray(y.T, dtype=complex).ravel(), out.ravel())
+        y_t = np.ascontiguousarray(y.T, dtype=complex)
+        if CSR_MATVECS is None:
+            out = self.terms @ y_t
+        else:
+            out = np.zeros((n_out, len(y)), dtype=complex)
+            CSR_MATVECS(n_out, n, len(y), self.terms.indptr, self.terms.indices, self.terms.data,
+                        y_t.ravel(), out.ravel())
         return np.ascontiguousarray(out.T).reshape(len(y), 3, n)
 
 
@@ -275,9 +297,9 @@ class RedfieldTable:
         self.sign = a_diag[None, :] - a_diag[:, None]  # [z, A]_ij = z_ij (A_jj - A_ii)
 
     def lam(self, omega, cells):
-        """Lambda(Omega) for omega of shape (..., len(cells)): the last axis
-        runs over the given cells, which read their own tables.  Returns
-        shape omega.shape + (dim, dim)."""
+        """Lambda(Omega) and its adjoint for omega of shape (..., len(cells)):
+        the last axis runs over the given cells, which read their own tables.
+        Each has shape omega.shape + (dim, dim)."""
         r = np.abs(omega)
         x = r / self.step[cells]
         i = np.minimum(x.astype(np.intp), TABLE_POINTS - 2)
@@ -288,11 +310,13 @@ class RedfieldTable:
         safe = np.where(r > 0.0, r, 1.0)
         phase = np.where(r > 0.0, omega.real / safe + 1j * (omega.imag / safe), 1.0)
         dim = len(self.sign)
-        return lam.reshape(r.shape + (dim, dim)) * phase[..., None, None] ** self.exponent
+        lam = lam.reshape(r.shape + (dim, dim)) * phase[..., None, None] ** self.exponent
+        return lam, lam.conj().swapaxes(-1, -2).copy()
 
-    def __call__(self, omega, rho):
-        lam = self.lam(omega, np.arange(len(self.step)))
-        return ((lam @ rho - rho @ lam.conj().swapaxes(-1, -2)) * self.sign).reshape(np.shape(rho))
+    def apply(self, lam, lam_d, rho):
+        """The map rho -> [Lambda rho - rho Lambda^dag, A] under Lambda = lam,
+        whose adjoint is lam_d (a pair from ``lam``)."""
+        return (lam @ rho - rho @ lam_d) * self.sign
 
 
 @dataclass(frozen=True)
@@ -303,13 +327,13 @@ class Row:
     cells: tuple = _dfield(repr=False)  # one Trajectory per cell; its states are a view of these
 
 
-def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=False, amplitudes=None):
-    """Integrate the master equation; return a Trajectory sampled on grid.
+def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=False, amplitudes=(1.0,)):
+    """Integrate the master equation for a row of cells; return a Row of
+    their Trajectories sampled on grid.
 
-    With ``amplitudes`` the call integrates a row: cell k is driven by
-    amplitudes[k] * field, the cells are integrated together, and the result
-    is a Row of their Trajectories.  Without it the one cell is driven by
-    field itself.  A cell's numbers do not depend on the row it is in.
+    Cell k is driven by amplitudes[k] * field (by default the one cell is
+    driven by field itself), and the cells are integrated together.  A
+    cell's numbers do not depend on the row it is in.
 
     grid (default: ``ringdown_grid``, 600 points) only sets the samples.  RK45
     (``_dormand_prince``) covers the drive window to ``field.grid.t_end`` at
@@ -320,14 +344,15 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=Fal
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol must lie in [1e-12, 1e-4]")
-    amps = np.array((1.0,) if amplitudes is None else amplitudes, dtype=float)
+    amps = np.array(amplitudes, dtype=float)
     gen, dim, d2 = Generator(system), system.hilbert.dim, system.hilbert.dim ** 2
     rho0 = ground_state(system.hilbert) if rho0 is None else rho0
     grid = ringdown_grid(system, field, 600) if grid is None else grid
 
     table = None
     if phonon.enabled and not secular:
-        table = RedfieldTable(system, phonon, gen, amps * field.magnitude_bound())
+        # a negative amplitude drives -|a| field: its |Omega| is bounded by |a| r_max
+        table = RedfieldTable(system, phonon, gen, np.abs(amps) * field.magnitude_bound())
 
     def drive(cells, times):
         """The drive of the given cells at times (cells, stages), stage by
@@ -338,8 +363,7 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=Fal
         weights[..., 0, 1], weights[..., 0, 2] = omega, np.conj(omega)
         lam = lam_d = [None] * len(omega)
         if table is not None:
-            lam = table.lam(omega, cells)
-            lam_d = lam.conj().swapaxes(-1, -2).copy()
+            lam, lam_d = table.lam(omega, cells)
         return list(zip(weights, lam, lam_d))
 
     def drift(y, stage, out=None):
@@ -350,7 +374,7 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=Fal
         dy = np.matmul(weights, gen.apply(y), out=out)[:, 0]
         if lam is not None:
             rho = y[:, :d2].reshape(-1, dim, dim)
-            dy[:, :d2] += ((lam @ rho - rho @ lam_d) * table.sign).reshape(-1, d2)
+            dy[:, :d2] += table.apply(lam, lam_d, rho).reshape(-1, d2)
         elif phonon.enabled:
             for k, (w, r) in enumerate(zip(weights, y[:, :d2].reshape(-1, dim, dim))):
                 h = gen.hamiltonian(w[0, 1])
@@ -378,8 +402,8 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=Fal
     weights[:, 0, 0] = 1.0  # Omega = 0
     lam0 = lam0_d = None
     if table is not None:
-        lam0 = table.lam(np.zeros(1), np.arange(1))[0]  # Lambda(0) is the same in every cell's table
-        lam0, lam0_d = (np.broadcast_to(m, (d2 + 1, dim, dim)) for m in (lam0, lam0.conj().T))
+        pair = table.lam(np.zeros(1), np.arange(1))  # Lambda(0) is the same in every cell's table
+        lam0, lam0_d = (np.broadcast_to(m[0], (d2 + 1, dim, dim)) for m in pair)
     l_tail = drift(np.eye(d2 + 1, dtype=complex), (weights, lam0, lam0_d)).T
     l_rho, flux = l_tail[:d2, :d2], l_tail[d2, :d2]
     # L_T rho_ss = 0, Tr rho_ss = 1 and L_T x = rho_ss - rho_T, Tr x = 0: the
@@ -417,9 +441,9 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, secular=Fal
         if final_min_eig < -1e-6:
             raise PropagationError(f"state eigenvalue {final_min_eig:.2e} below -1e-6", cell=k)
         photon, excited = (np.einsum("tij,ji->t", cell_states, op).real for op in (gen.n_op, gen.pop))
-        drive_k = field if amplitudes is None else IntracavityField(field.grid, amps[k] * field.envelope)
+        drive_k = IntracavityField(field.grid, amps[k] * field.envelope)
         cells.append(Trajectory(grid, cell_states, photon, excited, drive_k, photons_out[k], nfev[k]))
-    return cells[0] if amplitudes is None else Row(states, tuple(cells))
+    return Row(states, tuple(cells))
 
 
 def _rms(x):

@@ -33,8 +33,11 @@ from .observables import beta_collection, figure_of_merit
 from .pulses import intracavity_field_numeric, pulse_area
 
 FOCK_TOL = 1e-4  # the largest pi_e shift from n_max to n_max + 2 that counts as converged
-# the most cells one job integrates together: it bounds a job's states (2 MB
-# per cell at 2000 samples), and a 49-amplitude power row still makes 7 jobs
+# the most cells one job integrates together.  A cell adds 2.8 MB to a job's
+# peak at 2000 samples (its states, Redfield table and scaled field).  On the
+# full fig2c and fig3a recipes (2 workers, 2 vCPU) caps 6 to 13 take the same
+# wall time within the runs' spread, and 8 is the largest cap whose peak RSS
+# stays within 2 % of the solve_ivp code's; 10 reaches +10 % and 13 +18 %.
 ROW_CELLS = 8
 
 

@@ -173,7 +173,7 @@ class TestEnhancementAndInvariants:
         env = (np.pi / (np.pi * t_p)) / np.cosh(grid.times / t_p)
         field = IntracavityField(grid, env.astype(complex))
         system = SystemSpec(g=1.0, kappa=1.0, hilbert=HilbertSpec(1))
-        traj = propagate(system, field, PhononSpec(enabled=False), grid=grid, tol=1e-10)
+        traj = propagate(system, field, PhononSpec(enabled=False), grid=grid, tol=1e-10).cells[0]
         pi_err = abs(traj.excited_pop.max() - 1.0)
         checks.append(("pi-pulse inversion", pi_err, pi_err < 1e-3))
 

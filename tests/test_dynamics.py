@@ -91,7 +91,7 @@ class TestPropagationLimits:
     def test_ground_state_is_dark(self):
         system = SystemSpec(g=4.0 * GHZ, kappa=25.0 * GHZ, hilbert=HilbertSpec(2))
         field = zero_field()
-        traj = propagate(system, field, PHONONS_OFF)
+        traj = propagate(system, field, PHONONS_OFF).cells[0]
         assert traj.excited_pop.max() < 1e-12
         assert traj.photon_number.max() < 1e-12
         np.testing.assert_allclose(traj.states[-1], traj.states[0], atol=1e-10)
@@ -101,7 +101,7 @@ class TestPropagationLimits:
         omega0 = np.pi / (np.pi * t_p)  # area = pi
         system = weak_cavity_system()
         field = sech_field(omega0, t_p)
-        traj = propagate(system, field, PHONONS_OFF, grid=field.grid)
+        traj = propagate(system, field, PHONONS_OFF, grid=field.grid).cells[0]
         assert traj.excited_pop.max() == pytest.approx(1.0, abs=1e-3)
 
     def test_purcell_decay_rate(self):
@@ -111,7 +111,7 @@ class TestPropagationLimits:
         rho0[space.n_fock, space.n_fock] = 1.0  # |e,0>
         rate = 4.0 * system.g**2 / system.kappa
         grid = TimeGrid(0.0, 0.5 / rate, 200)
-        traj = propagate(system, zero_field(0.0, grid.t_end), PHONONS_OFF, rho0=rho0, grid=grid)
+        traj = propagate(system, zero_field(0.0, grid.t_end), PHONONS_OFF, rho0=rho0, grid=grid).cells[0]
         ref = np.exp(-rate * grid.times)
         assert np.max(np.abs(traj.excited_pop - ref) / ref) < 0.05
 
@@ -120,7 +120,7 @@ class TestPropagationLimits:
         t_p = 4e-12
         omega0 = 0.5 * np.pi / (np.pi * t_p)  # pi/2 pulse: maximal coherence
         field = sech_field(omega0, t_p)
-        traj = propagate(system, field, PHONONS_OFF, grid=field.grid, tol=1e-10)
+        traj = propagate(system, field, PHONONS_OFF, grid=field.grid, tol=1e-10).cells[0]
         purity = np.einsum("ij,ji->", traj.states[-1], traj.states[-1]).real
         assert purity == pytest.approx(1.0, abs=1e-6)
 
@@ -138,7 +138,7 @@ class TestRedfield:
         omega = 150.0 * GHZ
         phonon = PhononSpec(temperature=0.0, coupling_scale=1.0)
         field = constant_field(omega, 4e-10)
-        traj = propagate(system, field, phonon, grid=TimeGrid(0.0, 4e-10, 200))
+        traj = propagate(system, field, phonon, grid=TimeGrid(0.0, 4e-10, 200)).cells[0]
         r = partial_trace_tls(traj.states[-1], system.hilbert)
         upper = np.array([1.0, 1.0]) / np.sqrt(2)  # dressed |+> for real drive
         p_up = (upper.conj() @ r @ upper).real
@@ -149,7 +149,7 @@ class TestRedfield:
         omega = 150.0 * GHZ
         phonon = PhononSpec(temperature=4.2, coupling_scale=1.0)
         field = constant_field(omega, 6e-10)
-        traj = propagate(system, field, phonon, grid=TimeGrid(0.0, 6e-10, 300))
+        traj = propagate(system, field, phonon, grid=TimeGrid(0.0, 6e-10, 300)).cells[0]
         r = partial_trace_tls(traj.states[-1], system.hilbert)
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
         minus = np.array([1.0, -1.0]) / np.sqrt(2)
@@ -163,7 +163,7 @@ class TestRedfield:
         omega = 150.0 * GHZ
         phonon = PhononSpec(temperature=4.2, coupling_scale=1.0)
         field = constant_field(omega, 6e-10)
-        traj = propagate(system, field, phonon, grid=TimeGrid(0.0, 6e-10, 300), secular=True)
+        traj = propagate(system, field, phonon, grid=TimeGrid(0.0, 6e-10, 300), secular=True).cells[0]
         r = partial_trace_tls(traj.states[-1], system.hilbert)
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
         minus = np.array([1.0, -1.0]) / np.sqrt(2)
@@ -250,7 +250,7 @@ class TestRedfield:
         field = constant_field(50.0 * GHZ, 2e-11, n=64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = propagate(system, field, PhononSpec(), grid=TimeGrid(0.0, 4e-11, 50))
+            traj = propagate(system, field, PhononSpec(), grid=TimeGrid(0.0, 4e-11, 50)).cells[0]
         assert traj.photons_out > 0.0
 
 
@@ -258,6 +258,12 @@ def random_density_matrix(rng, dim):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = m @ m.conj().T
     return rho / np.trace(rho)
+
+
+def table_map(table, omega, rho):
+    """The table's map at one drive value, through the lookup and the
+    commutator that propagate's drift runs."""
+    return table.apply(*table.lam(np.array([omega]), np.arange(1)), rho)[0]
 
 
 class TestRedfieldTable:
@@ -277,7 +283,7 @@ class TestRedfieldTable:
                 omega = r * np.exp(2j * np.pi * rng.uniform())
                 rho = random_density_matrix(rng, system.hilbert.dim)
                 want = redfield_dissipator(system, phonon, gen.hamiltonian(omega))(rho)
-                got = table(omega, rho)
+                got = table_map(table, omega, rho)
                 assert np.abs(got - want).max() <= bound * np.abs(want).max()
 
     def test_covers_the_interpolated_field_without_extrapolating(self):
@@ -313,8 +319,8 @@ class TestRedfieldTable:
             assert table.step > 0.0 and np.all(np.isfinite(table.samples))
             rho = random_density_matrix(np.random.default_rng(4), system.hilbert.dim)
             want = redfield_dissipator(system, phonon, Generator(system).h0)(rho)
-            assert np.abs(table(0.0, rho) - want).max() <= 1e-13 * np.abs(want).max()
-            assert propagate(system, field, phonon).photons_out == 0.0
+            assert np.abs(table_map(table, 0.0, rho) - want).max() <= 1e-13 * np.abs(want).max()
+            assert propagate(system, field, phonon).cells[0].photons_out == 0.0
 
 
 class TestStateInvariants:
@@ -322,7 +328,7 @@ class TestStateInvariants:
         cfg = blue_case(amplitude_pi=8.0, tol=1e-9, n_traj_points=300)
         system = cfg.system()
         field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
-        traj = propagate(system, field, cfg.phonon(), tol=cfg.tol)
+        traj = propagate(system, field, cfg.phonon(), tol=cfg.tol).cells[0]
         traces = np.einsum("tii->t", traj.states).real
         assert np.abs(traces - 1.0).max() < 1e-8
         # non-secular Redfield is not completely positive; transient
@@ -338,7 +344,7 @@ class TestStateInvariants:
         cfg = blue_case(amplitude_pi=8.0, phonon_enabled=False)
         system = cfg.system()
         field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
-        traj = propagate(system, field, cfg.phonon(), tol=1e-9)
+        traj = propagate(system, field, cfg.phonon(), tol=1e-9).cells[0]
         for rho in traj.states[:: len(traj.states) // 30]:
             assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() > -1e-6
 
@@ -356,7 +362,7 @@ class TestStateInvariants:
         grid = TimeGrid(field.grid.t_start, field.grid.t_end + tail, 2000)
         pi_vals = []
         for tol in (1e-8, 5e-9):
-            traj = propagate(system, field, cfg.phonon(), grid=grid, tol=tol)
+            traj = propagate(system, field, cfg.phonon(), grid=grid, tol=tol).cells[0]
             pi_vals.append(traj.photons_out)
         assert abs(pi_vals[0] - pi_vals[1]) < 1e-5
 
@@ -366,17 +372,17 @@ class TestRingdownTail:
         cfg = blue_case(amplitude_pi=8.0, n_field_points=4096)
         system, phonon = cfg.system(), cfg.phonon()
         field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
-        rho_t = propagate(system, field, phonon, grid=field.grid).states[-1]
+        rho_t = propagate(system, field, phonon, grid=field.grid).cells[0].states[-1]
         t0 = field.grid.t_end
         span = 40.0 / system.emission_rate
         grid = TimeGrid(t0, t0 + span, 400)
         # the drive window ends where the grid starts: the photon count and
         # every sample come from the closed tail (one solve, expm powers)
-        closed = propagate(system, zero_field(t0 - span, t0), phonon, rho0=rho_t, grid=grid)
+        closed = propagate(system, zero_field(t0 - span, t0), phonon, rho0=rho_t, grid=grid).cells[0]
         # the same zero drive over the whole grid: RK45 integrates the tail
         direct = propagate(
             system, zero_field(t0, t0 + span), phonon, rho0=rho_t, grid=grid, tol=1e-12
-        )
+        ).cells[0]
         assert closed.photons_out > 0.01  # photons left at the end of the window
         assert abs(closed.photons_out - direct.photons_out) < 1e-9
         assert np.abs(closed.states - direct.states).max() < 1e-9
@@ -392,17 +398,32 @@ class TestRow:
         assert row.states.shape == (2, 600, system.hilbert.dim, system.hilbert.dim)
         for amp, traj in zip((2.0, 5.0), row.cells):
             np.testing.assert_array_equal(traj.field.envelope, amp * field.envelope)
-            alone = propagate(system, traj.field, PHONONS_OFF)
+            alone = propagate(system, traj.field, PHONONS_OFF).cells[0]
             assert abs(traj.photons_out - alone.photons_out) < 1e-12
             assert np.shares_memory(traj.states, row.states)
 
-    def test_generator_apply_matches_the_sparse_product_and_checks_its_input(self):
+    def test_generator_apply_matches_the_sparse_product_and_checks_its_input(self, monkeypatch):
         system = blue_case().system()
         gen = Generator(system)
         y = np.random.default_rng(2).normal(size=(3, system.hilbert.dim ** 2 + 1)) + 0j
-        np.testing.assert_allclose(gen.apply(y), (gen.terms @ y.T).T.reshape(3, 3, -1), rtol=1e-14)
+        direct = gen.apply(y)
+        np.testing.assert_allclose(direct, (gen.terms @ y.T).T.reshape(3, 3, -1), rtol=1e-14)
         with pytest.raises(ValueError, match="rows of length"):
             gen.apply(y[:, :-1])  # the kernel would read past each row
+        # without the private kernel the sparse operator runs the same one
+        monkeypatch.setattr(dynamics, "CSR_MATVECS", None)
+        np.testing.assert_array_equal(gen.apply(y), direct)
+
+    def test_negative_amplitude_reads_its_table_inside_its_range(self):
+        # -a * field differs from a * field by the U(1) phase e^{i pi N}:
+        # same |Omega|, so the same table, steps and populations
+        cfg = blue_case(amplitude_pi=1.0, n_field_points=4096)
+        system = cfg.system()
+        field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
+        pos, neg = propagate(system, field, cfg.phonon(), amplitudes=(4.0, -4.0)).cells
+        assert neg.rhs_calls == pos.rhs_calls
+        assert abs(neg.photons_out - pos.photons_out) < 1e-12
+        assert np.abs(neg.excited_pop - pos.excited_pop).max() < 1e-12
 
     def test_failing_cell_is_named_and_fails_alone(self):
         # a cell whose drive is not finite fails its step control; the
@@ -428,7 +449,7 @@ class TestMirrorSymmetry:
             )
             tail = 16.0 / system.emission_rate
             grid = TimeGrid(field.grid.t_start, field.grid.t_end + tail, 800)
-            trajs.append(propagate(system, field, cfg.phonon(), grid=grid, tol=1e-12))
+            trajs.append(propagate(system, field, cfg.phonon(), grid=grid, tol=1e-12).cells[0])
         b, r = trajs
         # populations and photon flux are invariant under the mirror; at
         # tol = 1e-12 each trajectory carries a few 1e-8 of residual RK45

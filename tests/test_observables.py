@@ -27,7 +27,7 @@ def decaying_excited_trajectory(n_lifetimes=18.0, n_points=4000):
     field = IntracavityField(grid, np.zeros(n_points, dtype=complex))
     from cavex.phonons import PhononSpec
 
-    traj = propagate(system, field, PhononSpec(enabled=False), rho0=rho0, grid=grid)
+    traj = propagate(system, field, PhononSpec(enabled=False), rho0=rho0, grid=grid).cells[0]
     return traj, system
 
 
@@ -50,7 +50,7 @@ class TestPopulationInversion:
         field = IntracavityField(grid, np.zeros(100, dtype=complex))
         from cavex.phonons import PhononSpec
 
-        traj = propagate(system, field, PhononSpec(enabled=False), grid=grid)
+        traj = propagate(system, field, PhononSpec(enabled=False), grid=grid).cells[0]
         assert figure_of_merit(traj, system).pi_e == 0.0
 
 
@@ -108,7 +108,7 @@ class TestBlochTrajectory:
         cfg = blue_case(amplitude_pi=6.0, n_traj_points=400)
         system = cfg.system()
         field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
-        traj = propagate(system, field, cfg.phonon(), tol=cfg.tol)
+        traj = propagate(system, field, cfg.phonon(), tol=cfg.tol).cells[0]
         bloch = bloch_trajectory(traj, system.hilbert)
         assert np.linalg.norm(bloch, axis=1).max() <= 1.0 + 1e-8
 
