@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, load_config, load_sweep
+from .config import ConfigError, RunConfig, apply_override, load_config, load_sweep
 from .dynamics import propagate
 from .observables import bloch_trajectory
 from .pulses import IntracavityField, TimeGrid, input_envelope, intracavity_field_numeric
@@ -109,15 +109,14 @@ def cmd_bloch(config, mechanism, areas_pi, out_dir, formats):
     # the comparison concerns the driven emitter itself; the collection
     # mode only filters the drive, so its coupling is made negligible
     system = replace(config, g_GHz=1e-6).system()
-    # each area passes the config's checks
-    areas = tuple(replace(config, amplitude_pi=float(area)).amplitude_pi for area in areas_pi)
+    # each area passes the config's checks, finiteness included
+    areas = tuple(apply_override(config, "pulse.amplitude_pi", area).amplitude_pi for area in areas_pi)
     # one row over the areas, driven by the field at unit area
     field = _bloch_field(replace(config, amplitude_pi=1.0), mechanism)
     # stop at the end of the pulse window: the Bloch picture describes the
     # state the pulse prepares, before the slow cavity emission
     grid = TimeGrid(field.grid.t_start, field.grid.t_end, config.n_traj_points)
-    row = propagate(system, field, config.phonon(), grid=grid, tol=config.tol,
-                    secular=config.secular, amplitudes=areas)
+    row = propagate(system, field, config.phonon(), grid=grid, tol=config.tol, amplitudes=areas)
     endpoints = []
     for area, traj in zip(areas, row.cells):
         bloch = bloch_trajectory(traj, system.hilbert)

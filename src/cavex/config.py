@@ -121,6 +121,7 @@ class RunConfig:
             temperature=self.temperature_K,
             enabled=self.phonon_enabled,
             coupling_scale=self.coupling_scale,
+            secular=self.secular,
         )
 
     def field_grid(self):

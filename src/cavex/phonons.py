@@ -30,7 +30,8 @@ DEFAULT_COUPLING_SCALE = 0.25
 
 @dataclass(frozen=True)
 class PhononSpec:
-    """Exciton-phonon environment parameters (SI units)."""
+    """Exciton-phonon environment parameters (SI units); ``secular`` selects
+    the rate-equation (secular) Redfield map over the full one."""
 
     r_e: float = 5.9e-9
     r_h: float = 3.6e-9
@@ -41,6 +42,7 @@ class PhononSpec:
     temperature: float = 4.2
     enabled: bool = True
     coupling_scale: float = DEFAULT_COUPLING_SCALE
+    secular: bool = False
 
     def __post_init__(self):
         if self.r_e <= 0 or self.r_h <= 0:

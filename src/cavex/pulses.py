@@ -9,7 +9,8 @@ independent routes produce the filtered field:
   only route for non-sech shapes).
 
 The solver reads a field through ``IntracavityField.at``, a C1 cubic
-Hermite interpolation that is fourth-order as well.
+Hermite interpolation that is fourth-order as well: ``hermite_cubic``, the
+rule the Redfield table of ``cavex.dynamics`` reads its samples by too.
 
 All envelopes are complex positive-frequency envelopes in the frame rotating
 at the emitter frequency; the stored phase factor is e^{+i dwL t}.
@@ -93,6 +94,27 @@ class TimeGrid:
         return (self.t_end - self.t_start) / (self.n_points - 1)
 
 
+def hermite_cubic(samples):
+    """The C1 cubic Hermite rule on uniformly spaced samples, along the first
+    axis: out[i, p] is the coefficient of f^p on interval i, f = (t - t_i) / dt,
+    any trailing axes of samples carried along.
+
+    The slopes are fourth-order central differences of the six nearest
+    samples, so the rule is fourth-order accurate; the two intervals at each
+    end, which lack them, are linear.
+    """
+    e = np.asarray(samples)
+    coef = np.zeros((len(e) - 1, 4) + e.shape[1:], dtype=np.result_type(e, float))
+    coef[:, 0] = e[:-1]
+    coef[:, 1] = e[1:] - e[:-1]  # linear where no cubic is set below
+    d = (e[:-4] - e[4:] + 8.0 * (e[3:-1] - e[1:-3])) / 12.0  # slopes times dt at 2 .. n-3
+    d0, d1, e0, e1 = d[:-1], d[1:], e[2:-3], e[3:-2]
+    coef[2:-2, 1] = d0
+    coef[2:-2, 2] = 3.0 * (e1 - e0) - 2.0 * d0 - d1
+    coef[2:-2, 3] = 2.0 * (e0 - e1) + d0 + d1
+    return coef
+
+
 @dataclass(frozen=True)
 class IntracavityField:
     grid: TimeGrid
@@ -110,42 +132,26 @@ class IntracavityField:
         return max(abs(self.envelope[0]), abs(self.envelope[-1])) / peak
 
     def magnitude_bound(self):
-        """An upper bound on |at(t)| over the grid.
-
-        On a cubic interval |p| <= max(|e0|, |e1|) + 4/27 (|d0| + |d1|): the
+        """An upper bound on |at(t)| over the grid, read off each interval's
+        cubic p: |p| <= max(|p(0)|, |p(1)|) + 4/27 (|p'(0)| + |p'(1)|), as the
         Hermite weights of the two values are non-negative and sum to one,
-        and those of the slopes stay within 4/27.  Linear intervals do not
-        pass their end samples.
-        """
-        e = self.envelope
-        mag = np.abs(e)
-        slope = np.abs(e[:-4] - e[4:] + 8.0 * (e[3:-1] - e[1:-3])) / 12.0  # samples 2 .. n-3
-        cubic = np.maximum(mag[2:-3], mag[3:-2]) + 4.0 / 27.0 * (slope[:-1] + slope[1:])
-        return float(max(mag.max(), cubic.max(initial=0.0)))
+        and those of the slopes stay within 4/27."""
+        c = self._cubic
+        ends = np.maximum(np.abs(c[:, 0]), np.abs(c.sum(axis=1)))
+        slopes = np.abs(c[:, 1]) + np.abs(c[:, 1] + 2.0 * c[:, 2] + 3.0 * c[:, 3])
+        return float((ends + 4.0 / 27.0 * slopes).max())
 
     @cached_property
     def _cubic(self):
-        """Per-interval cubic sum_p c_p f^p in f = (t - t_i) / dt: row i holds
-        (c_0, c_1, c_2, c_3) of interval i."""
-        e = self.envelope
-        coef = np.zeros((len(e) - 1, 4), dtype=complex)
-        coef[:, 0] = e[:-1]
-        coef[:, 1] = e[1:] - e[:-1]  # linear where no cubic is set below
-        d = (e[:-4] - e[4:] + 8.0 * (e[3:-1] - e[1:-3])) / 12.0  # slopes times dt at 2 .. n-3
-        d0, d1, e0, e1 = d[:-1], d[1:], e[2:-3], e[3:-2]
-        coef[2:-2, 1] = d0
-        coef[2:-2, 2] = 3.0 * (e1 - e0) - 2.0 * d0 - d1
-        coef[2:-2, 3] = 2.0 * (e0 - e1) + d0 + d1
-        return coef
+        """Row i holds the cubic (c_0, c_1, c_2, c_3) of interval i."""
+        return hermite_cubic(self.envelope)
 
     def at(self, t):
-        """Envelope at time t (a scalar or an array) by C1 cubic Hermite
-        interpolation; zero outside the grid.
+        """Envelope at time t (a scalar or an array) by the C1 cubic Hermite
+        rule of ``hermite_cubic``; zero outside the grid.
 
-        The slopes are fourth-order central differences of the six nearest
-        samples, so the drive is fourth-order accurate and the integrator
-        meets no kink at the samples.  The two intervals at each end, where
-        the envelope is below 1e-6 of its peak, are linear.
+        The integrator meets no kink at the samples.  The two intervals at
+        each end, where the envelope is below 1e-6 of its peak, are linear.
         """
         g = self.grid
         t = np.asarray(t, dtype=float)

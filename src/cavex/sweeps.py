@@ -73,14 +73,15 @@ def _run_row(configs):
     field = intracavity_field_numeric(unit.pulse(), unit.excitation_mode(), unit.field_grid())
     grid = ringdown_grid(system, field, unit.n_traj_points)
     amps = tuple(config.amplitude_pi for config in configs)
-    row = propagate(system, field, unit.phonon(), grid=grid, tol=unit.tol, secular=unit.secular,
-                    amplitudes=amps)
+    row = propagate(system, field, unit.phonon(), grid=grid, tol=unit.tol, amplitudes=amps)
     area = pulse_area(field)
     return [(figure_of_merit(traj, system), area * amp, traj) for amp, traj in zip(amps, row.cells)]
 
 
 def _row_values(configs, reduce_kind):
-    return tuple(fom.pi_e if reduce_kind == "PiE" else fom.eta_c for fom, _, _ in _run_row(configs))
+    """The (value, intra-cavity area) of each cell of a row job."""
+    return tuple((fom.pi_e if reduce_kind == "PiE" else fom.eta_c, area)
+                 for fom, area, _ in _run_row(configs))
 
 
 def _rows(cells):
@@ -114,8 +115,8 @@ def run_sweep(config, spec, workers=1):
 
     The metadata follows the spec: a power curve (one axis,
     ``pulse.amplitude_pi``, reduced to ``PiE``) adds ``beta_c``, ``eta_c``
-    and the intra-cavity area of every row; a ``detuning_map`` adds the
-    maximum over each row of its first axis.
+    and the intra-cavity area that each cell's row job reports; a
+    ``detuning_map`` adds the maximum over each row of its first axis.
     """
     axes = spec.axes
     cell_axes, reduce_kind = axes, spec.reduce
@@ -137,7 +138,7 @@ def run_sweep(config, spec, workers=1):
     shape = tuple(len(points) for _, points in cell_axes)
 
     t0 = time.monotonic()
-    values = np.full(len(cells), np.nan)
+    cell_out = np.full((len(cells), 2), np.nan)  # each cell's (value, intra-cavity area)
     jobs = _rows(cells)
     job = partial(_row_values, reduce_kind=reduce_kind)
     # a dead worker breaks the executor: its cells fail, none is respawned
@@ -147,7 +148,7 @@ def run_sweep(config, spec, workers=1):
         start = 0
         for row in jobs:
             try:
-                values[start : start + len(row)] = next(results)
+                cell_out[start : start + len(row)] = next(results)
             except Exception as exc:
                 if pool:  # stop the running rows, cancel those not yet started
                     for proc in pool._processes.values():
@@ -157,6 +158,7 @@ def run_sweep(config, spec, workers=1):
                 idx = tuple(int(i) for i in np.unravel_index(start + getattr(exc, "cell", 0), shape))
                 raise SweepCellError(f"cell {idx} failed: {exc}") from exc
             start += len(row)
+    values, areas = cell_out.T
     values = values.reshape(shape)
     if spec.reduce == "MaxOverAmplitude":
         values = values.max(axis=-1)
@@ -169,24 +171,11 @@ def run_sweep(config, spec, workers=1):
         "reduce": spec.reduce,
     }
     if [path for path, _ in axes] == ["pulse.amplitude_pi"] and spec.reduce == "PiE":
-        meta.update(_power_metadata(config, axes[0][1], values))
+        beta = beta_collection(config.system())
+        meta.update(beta_c=beta, eta_c=tuple(beta * values), intracavity_area_pi=tuple(areas.tolist()))
     if spec.kind == "detuning_map":
         meta["row_maxima"] = tuple(values.reshape(len(values), -1).max(axis=1))
     return SweepResult(axes, values, meta)
-
-
-def _power_metadata(config, amplitudes_pi, pi_e):
-    beta = beta_collection(config.system())
-    # the filtered field is linear in the input amplitude: one build at
-    # unit area gives every row's intra-cavity area
-    unit = apply_override(config, "pulse.amplitude_pi", 1.0)
-    field = intracavity_field_numeric(unit.pulse(), unit.excitation_mode(), unit.field_grid())
-    area = pulse_area(field)
-    return {
-        "beta_c": beta,
-        "eta_c": tuple(beta * pi_e),
-        "intracavity_area_pi": tuple(area * amp for amp in amplitudes_pi),
-    }
 
 
 # SweepSpec builders for the figure classes ------------------------------

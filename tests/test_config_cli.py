@@ -374,6 +374,14 @@ class TestCliErrors:
         )
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("area", ["nan", "inf"])
+    def test_non_finite_bloch_area_exits_validation(self, tmp_path, capsys, area):
+        cfg = write_ini(tmp_path, FAST_INI)
+        out = tmp_path / "b"
+        assert main(["bloch", "--config", str(cfg), "--out", str(out), "--areas", "2", area]) == EXIT_VALIDATION
+        assert "pulse.amplitude_pi: must be finite" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
 
 class TestCliSweep:
     def test_power_sweep_outputs(self, tmp_path):
@@ -449,7 +457,7 @@ axis2_values = 3
         monkeypatch.setattr(
             sweeps,
             "_row_values",
-            lambda row, reduce_kind: tuple(c.delta_omega_c_GHz * 10 + c.delta_omega_L_GHz for c in row),
+            lambda row, reduce_kind: tuple((c.delta_omega_c_GHz * 10 + c.delta_omega_L_GHz, 0.0) for c in row),
         )
         cfg = write_ini(
             tmp_path,

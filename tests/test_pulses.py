@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavex.config import apply_override, load_config
 from cavex.pulses import (
@@ -19,6 +21,7 @@ from cavex.pulses import (
     cavity_impulse_response,
     default_field_grid,
     finesse_enhancement,
+    hermite_cubic,
     input_envelope,
     intracavity_field_analytic,
     intracavity_field_numeric,
@@ -105,11 +108,13 @@ class TestConvolution:
         np.testing.assert_allclose(out, 0.5 * mode.kappa * conv, rtol=0, atol=1e-12 * np.abs(out).max())
 
     def test_import_leaves_scipy_signal_unloaded(self):
+        # cavex needs neither module, and each would cost a third or more of
+        # `import cavex`; the names of any that are loaded are printed
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        code = "import sys, cavex; print('scipy.signal' in sys.modules)"
+        code = "import sys, cavex; print(*(m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules))"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == ""
 
 
 def compare_routes(pulse, mode, span_factor=16.0, ring=10.0, n_fine=2**17, stride=64):
@@ -236,6 +241,17 @@ class TestInterpolation:
         got = np.array([field.at(x) for x in t])
         exact = np.polyval(coef[::-1], t)
         assert np.abs(got - exact).max() <= 1e-12 * np.abs(field.envelope).max()
+        # the builder carries trailing axes along: samples of shape (n, 2, 2)
+        # hold four cubics, and each interval's coefficients reproduce all four
+        cubics = np.array([coef, np.conj(coef), [0.0, 1.0, -2.0, 0.5], [3.0, 0.0, 0.0, -1.0j]])
+        samples = np.stack([np.polyval(c[::-1], grid.times) for c in cubics], axis=-1).reshape(-1, 2, 2)
+        table = hermite_cubic(samples)
+        assert table.shape == (grid.n_points - 1, 4, 2, 2)
+        x = (t - grid.t_start) / grid.dt
+        i = x.astype(int)
+        got = np.einsum("tp,tpjk->tjk", (x - i)[:, None] ** np.arange(4), table[i])
+        exact = np.stack([np.polyval(c[::-1], t) for c in cubics], axis=-1).reshape(-1, 2, 2)
+        assert np.abs(got - exact).max() <= 1e-12 * np.abs(samples).max()
 
     def test_value_and_slope_continuous_across_samples(self):
         grid = TimeGrid(0.0, 63.0, 64)  # dt = 1
@@ -249,6 +265,21 @@ class TestInterpolation:
             right = (field.at(t + h) - field.at(t)) / h
             assert abs(field.at(t + h) - field.at(t - h)) < 1e-4
             assert abs(right - left) < 1e-3
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False, allow_subnormal=False),
+            min_size=2,
+            max_size=40,
+        )
+    )
+    def test_magnitude_bound_holds_between_samples(self, values):
+        # the Redfield table ends at the bound: |at(t)| must not pass it on
+        # any interval, the linear ones at each end included
+        field = IntracavityField(TimeGrid(0.0, 1.0, len(values)), np.array(values))
+        t = np.linspace(0.0, 1.0, 50 * (len(values) - 1) + 1)
+        assert np.abs(field.at(t)).max() <= field.magnitude_bound() * (1.0 + 1e-12)
 
     def test_error_falls_fourth_order_with_dt(self):
         def sech_field(n):

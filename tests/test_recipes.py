@@ -36,7 +36,7 @@ def test_recipe_runs_as_written(path, monkeypatch):
 
     def record(row, reduce_kind):
         cells.extend((cfg, reduce_kind) for cfg in row)
-        return tuple(cfg.amplitude_pi for cfg in row)
+        return tuple((cfg.amplitude_pi, 0.0) for cfg in row)
 
     monkeypatch.setattr(sweeps, "_row_values", record)
     result = sweeps.run_sweep(config, spec)

@@ -62,8 +62,9 @@ class TestPowerSweep:
         assert "config_hash" in res.metadata and "wall_time_s" in res.metadata
 
     @pytest.mark.parametrize("row_cells, jobs", [(8, 1), (2, 2)])
-    def test_one_field_build_per_row_job_plus_one(self, monkeypatch, row_cells, jobs):
-        # a row builds its field once, at unit amplitude; _power_metadata once more
+    def test_one_field_build_per_row_job(self, monkeypatch, row_cells, jobs):
+        # a row builds its field once, at unit amplitude, and reports its
+        # cells' intra-cavity areas: the power metadata builds none
         calls = []
         build = sweeps.intracavity_field_numeric
         monkeypatch.setattr(
@@ -71,7 +72,7 @@ class TestPowerSweep:
         )
         monkeypatch.setattr(sweeps, "ROW_CELLS", row_cells)
         power_sweep(blue_case(phonon_enabled=False, **FAST), [0.0, 1.0, 2.0])
-        assert len(calls) == jobs + 1
+        assert len(calls) == jobs
         assert all(pulse.amplitude == np.pi for pulse, _, _ in calls)
 
     @pytest.mark.parametrize("case", [blue_case, red_case])
@@ -165,7 +166,7 @@ class TestMetadataFollowsTheSpec:
     @pytest.fixture(autouse=True)
     def stub_cells(self, monkeypatch):
         monkeypatch.setattr(
-            sweeps, "_row_values", lambda row, reduce_kind: tuple(cfg.amplitude_pi for cfg in row)
+            sweeps, "_row_values", lambda row, reduce_kind: tuple((cfg.amplitude_pi, 0.0) for cfg in row)
         )
 
     def test_power_metadata_needs_an_amplitude_axis_reduced_to_pi_e(self):
