@@ -143,9 +143,15 @@ class Trajectory:
     states: np.ndarray = _dfield(repr=False)  # (n_t, dim, dim)
     photon_number: np.ndarray = _dfield(repr=False)
     excited_pop: np.ndarray = _dfield(repr=False)
-    field: IntracavityField = _dfield(repr=False)  # the drive it was propagated under
+    unit_field: IntracavityField = _dfield(repr=False)  # the row's field, shared by its cells
+    amplitude: float  # the cell drives with amplitude * unit_field
     photons_out: float  # kappa * integral of <a^dag a> from grid.t_start to infinity
     rhs_calls: int  # drift evaluations over the drive window: two for the initial step, six per attempt
+
+    @property
+    def field(self):
+        """The drive it was propagated under, scaled from the row's field on each read."""
+        return IntracavityField(self.unit_field.grid, self.amplitude * self.unit_field.envelope)
 
 
 def ringdown_grid(system, field, n_points):
@@ -337,8 +343,11 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
     (``_dormand_prince``) covers the drive window to ``field.grid.t_end`` at
     rtol = tol, atol two decades tighter (most matrix elements are far below
     unit scale); past it the tail is closed exactly, and ``photons_out``
-    counts the whole ring-down.  A failure raises a PropagationError whose
-    ``cell`` is the first failing cell of the row.
+    counts the whole ring-down.  The trace guard reads every accepted step
+    of the window and every sample, so a two-point grid (a sweep's, which
+    keeps only ``photons_out``) is still checked along the whole window.  A
+    failure raises a PropagationError whose ``cell`` is the first failing
+    cell of the row.
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol must lie in [1e-12, 1e-4]")
@@ -385,15 +394,15 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
     t_w = max(field.grid.t_end, grid.t_start)  # the drive is zero from here on
     n_in = int(np.searchsorted(times, t_w))  # samples before t_w; the tail has the rest
     y = np.tile(np.append(rho0.ravel(), 0.0).astype(complex), (n_cells, 1))
-    nfev, failures = [0] * n_cells, [None] * n_cells
+    nfev, failures, step_drift = [0] * n_cells, [None] * n_cells, [0.0] * n_cells
     if t_w > grid.t_start:
         # cap the step so the adaptive integrator cannot leap over the whole
         # pulse window: a step whose stage points all land where the field is
         # zero reports zero local error and would be accepted
         max_step = (field.grid.t_end - field.grid.t_start) / 64.0
         window = states[:, :n_in].reshape(n_cells, n_in, d2)
-        y, nfev, failures = _dormand_prince(drive, drift, y, grid.t_start, t_w, times[:n_in],
-                                            window, tol, 1e-2 * tol, max_step)
+        y, nfev, step_drift, failures = _dormand_prince(drive, drift, y, grid.t_start, t_w, times[:n_in], window,
+                                                        slice(0, d2, dim + 1), tol, 1e-2 * tol, max_step)
 
     # the constant tail generator, column by column from the same drift
     weights = np.zeros((d2 + 1, 1, 3), dtype=complex)
@@ -421,17 +430,18 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
         # P = expm(L_T dt), so m doubles: one matrix product per cell each time
         tail = states[:, n_in:].reshape(n_cells, -1, d2)
         np.matmul(expm(l_rho * (times[n_in] - t_w)), y[:, :d2, None], out=tail[:, :1].swapaxes(1, 2))
-        power, m = expm(l_rho * grid.dt).T, 1
-        while m < tail.shape[1]:
-            n_new = min(m, tail.shape[1] - m)
-            np.matmul(tail[:, :n_new], power, out=tail[:, m : m + n_new])
-            power, m = power @ power, 2 * m
+        if tail.shape[1] > 1:  # a one-sample tail needs no P
+            power, m = expm(l_rho * grid.dt).T, 1
+            while m < tail.shape[1]:
+                n_new = min(m, tail.shape[1] - m)
+                np.matmul(tail[:, :n_new], power, out=tail[:, m : m + n_new])
+                power, m = power @ power, 2 * m
 
     cells = []
     for k, (cell_states, failure) in enumerate(zip(states, failures)):
         if failure:
             raise PropagationError(failure, cell=k)
-        trace_drift = np.abs(np.einsum("tii->t", cell_states).real - 1.0).max()
+        trace_drift = max(step_drift[k], np.abs(np.einsum("tii->t", cell_states).real - 1.0).max())
         if trace_drift > 1e-8 and tol <= 1e-8:
             raise PropagationError(f"trace drift {trace_drift:.2e} exceeds 1e-8", cell=k)
         final = cell_states[-1]
@@ -439,8 +449,7 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
         if final_min_eig < -1e-6:
             raise PropagationError(f"state eigenvalue {final_min_eig:.2e} below -1e-6", cell=k)
         photon, excited = (np.einsum("tij,ji->t", cell_states, op).real for op in (gen.n_op, gen.pop))
-        drive_k = IntracavityField(field.grid, amps[k] * field.envelope)
-        cells.append(Trajectory(grid, cell_states, photon, excited, drive_k, photons_out[k], nfev[k]))
+        cells.append(Trajectory(grid, cell_states, photon, excited, field, float(amps[k]), photons_out[k], nfev[k]))
     return Row(states, tuple(cells))
 
 
@@ -450,7 +459,7 @@ def _rms(x):
     return [sqrt(a / x.shape[1]) for a in (v * v).sum(axis=1).tolist()]
 
 
-def _dormand_prince(drive, drift, y0, t0, t_bound, t_eval, out, rtol, atol, max_step):
+def _dormand_prince(drive, drift, y0, t0, t_bound, t_eval, out, diag, rtol, atol, max_step):
     """RK45 over [t0, t_bound] for each row of y0, one cell each.
 
     The Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 19 (1980)) with
@@ -467,13 +476,15 @@ def _dormand_prince(drive, drift, y0, t0, t_bound, t_eval, out, rtol, atol, max_
     drive(cells, times) returns the drive of the given cells at times
     (cells, stages), stage by stage; drift(y, stage) the derivative of each
     row of y under one stage.  The dense output fills the leading columns of
-    out[cell, j] at t_eval[j].  Returns the states at t_bound, the RHS
-    evaluations of each cell and, per cell, None or why it failed (its state
-    at t_bound is then meaningless).
+    out[cell, j] at t_eval[j].  The entries y[diag] of a row sum to the
+    trace of its state.  Returns the states at t_bound, the RHS evaluations
+    of each cell, its largest |trace - 1| over its accepted steps and, per
+    cell, None or why it failed (its state at t_bound is then meaningless).
     """
     n_cells, n = y0.shape
     cells = np.arange(n_cells)  # the original index of each row still running
     nfev, failures, y_end = [2] * n_cells, [None] * n_cells, y0.copy()
+    trace_drift = [0.0] * n_cells
     samples, interval = t_eval.tolist(), t_bound - t0
 
     # initial step (Hairer, Norsett and Wanner, Sec. II.4)
@@ -504,7 +515,7 @@ def _dormand_prince(drive, drift, y0, t0, t_bound, t_eval, out, rtol, atol, max_
             t, h_abs, fresh, rejected, min_step, next_sample = (
                 [v[c] for c in keep] for v in (t, h_abs, fresh, rejected, min_step, next_sample))
         if not len(cells):
-            return y_end, nfev, failures
+            return y_end, nfev, trace_drift, failures
         t_new = []
         for c in range(len(cells)):
             if fresh[c]:
@@ -526,6 +537,7 @@ def _dormand_prince(drive, drift, y0, t0, t_bound, t_eval, out, rtol, atol, max_
         drift(y_new, stages[5], k[:, 7:])
         abs_new = np.abs(y_new)
         errors = _rms(np.matmul(wh[:, 7:], k)[:, 0] / (atol + np.maximum(abs_y, abs_new) * rtol))
+        traces = y_new[:, diag].sum(axis=1).real.tolist()  # read for the accepted rows
 
         accepted, finished, dense_rows, dense_at = [], [], [], []
         for c, err in enumerate(errors):
@@ -535,6 +547,7 @@ def _dormand_prince(drive, drift, y0, t0, t_bound, t_eval, out, rtol, atol, max_
                 h_abs[c] *= min(1, factor) if rejected[c] else factor
                 accepted.append(c)
                 fresh[c] = True
+                trace_drift[cells[c]] = max(trace_drift[cells[c]], abs(traces[c] - 1.0))
                 stop = bisect_right(samples, t_new[c])
                 dense_rows += [c] * (stop - next_sample[c])
                 dense_at += range(next_sample[c], stop)

@@ -10,11 +10,13 @@ mode-splitting maps) only build a SweepSpec for it.
 A job is a row: consecutive cells (in row-major order) that differ only in
 ``pulse.amplitude_pi``, at most ROW_CELLS of them.  The filtered field is
 linear in the amplitude, so a row builds its field once at unit amplitude
-and ``propagate`` integrates its cells together.  Each cell keeps its own
-steps, so its value is bit for bit that of ``run_cell``, whatever row it is
-in.  Cells are deterministic functions of the immutable RunConfig, so the
-rows may run in any order and on any number of workers; results are
-gathered by cell index, making the output independent of scheduling.
+and ``propagate`` integrates its cells together.  A job keeps only each
+cell's pi_e or eta_c, so it stores no samples: the row is propagated on the
+two ends of its ring-down grid.  Each cell keeps its own steps, so its value
+is bit for bit that of ``run_cell``, whatever row it is in.  Cells are
+deterministic functions of the immutable RunConfig, so the rows may run in
+any order and on any number of workers; results are gathered by cell index,
+making the output independent of scheduling.
 """
 
 import time
@@ -33,11 +35,14 @@ from .observables import beta_collection, figure_of_merit
 from .pulses import intracavity_field_numeric, pulse_area
 
 FOCK_TOL = 1e-4  # the largest pi_e shift from n_max to n_max + 2 that counts as converged
-# the most cells one job integrates together.  A cell adds 2.8 MB to a job's
-# peak at 2000 samples (its states, Redfield table and scaled field).  On the
-# full fig2c and fig3a recipes (2 workers, 2 vCPU) caps 6 to 13 take the same
-# wall time within the runs' spread, and 8 is the largest cap whose peak RSS
-# stays within 2 % of the solve_ivp code's; 10 reaches +10 % and 13 +18 %.
+# the most cells one job integrates together.  A cell added 2.8 MB to a job's
+# peak when the cap was set (2000 samples of states, Redfield table, scaled
+# field); with no samples and one shared field it adds about 1.3 MB, nearly
+# all the transient of its Redfield table build (tracemalloc, fig2c rows).
+# On the full fig2c and fig3a recipes (2 workers, 2 vCPU) caps 6 to 13 took
+# the same wall time within the runs' spread, and 8 was the largest cap
+# whose peak RSS stayed within 2 % of the solve_ivp code's; 10 reached +10 %
+# and 13 +18 %.
 ROW_CELLS = 8
 
 
@@ -65,23 +70,34 @@ def run_cell(config):
 
 
 def _run_row(configs):
-    """Cells that differ only in pulse.amplitude_pi, simulated together: one
-    field build at unit amplitude, one propagate call.  Returns the
-    (fom, area, traj) of each cell."""
-    unit = replace(configs[0], amplitude_pi=1.0)
-    system = unit.system()
-    field = intracavity_field_numeric(unit.pulse(), unit.excitation_mode(), unit.field_grid())
-    grid = ringdown_grid(system, field, unit.n_traj_points)
-    amps = tuple(config.amplitude_pi for config in configs)
-    row = propagate(system, field, unit.phonon(), grid=grid, tol=unit.tol, amplitudes=amps)
-    area = pulse_area(field)
-    return [(figure_of_merit(traj, system), area * amp, traj) for amp, traj in zip(amps, row.cells)]
+    """Cells that differ only in pulse.amplitude_pi, simulated together and
+    sampled at each config's n_traj_points.  Returns the (fom, area, traj)
+    of each cell."""
+    system, area, row = _propagate_row(configs, configs[0].n_traj_points)
+    return [(figure_of_merit(traj, system), area * traj.amplitude, traj) for traj in row.cells]
 
 
 def _row_values(configs, reduce_kind):
-    """The (value, intra-cavity area) of each cell of a row job."""
-    return tuple((fom.pi_e if reduce_kind == "PiE" else fom.eta_c, area)
-                 for fom, area, _ in _run_row(configs))
+    """The (value, intra-cavity area) of each cell of a row job.  A sweep
+    keeps no samples, so the row is propagated on the two ends of its
+    ring-down grid; pi_e and eta_c take figure_of_merit's arithmetic."""
+    system, area, row = _propagate_row(configs, 2)
+    beta = beta_collection(system)
+    return tuple((traj.photons_out if reduce_kind == "PiE" else beta * traj.photons_out, area * traj.amplitude)
+                 for traj in row.cells)
+
+
+def _propagate_row(configs, n_points):
+    """One field build at unit amplitude and one propagate call for the row,
+    on the ring-down grid of n_points samples.  Returns the system, the
+    intra-cavity area at unit amplitude and the Row."""
+    unit = replace(configs[0], amplitude_pi=1.0)
+    system = unit.system()
+    field = intracavity_field_numeric(unit.pulse(), unit.excitation_mode(), unit.field_grid())
+    grid = ringdown_grid(system, field, n_points)
+    amps = tuple(config.amplitude_pi for config in configs)
+    row = propagate(system, field, unit.phonon(), grid=grid, tol=unit.tol, amplitudes=amps)
+    return system, pulse_area(field), row
 
 
 def _rows(cells):
@@ -236,16 +252,16 @@ def cavity_detuning_map(config, cavity_detunings_GHz, amplitudes_pi, workers=1):
 
 
 def fock_convergence(config):
-    """Re-run one representative cell with n_max + 2; report the pi_e shift."""
-    fom_a, _, _ = run_cell(config)
-    cfg_b = apply_override(config, "solver.n_max", config.n_max + 2)
-    fom_b, _, _ = run_cell(cfg_b)
-    delta = abs(fom_b.pi_e - fom_a.pi_e)
+    """Re-run one representative cell with n_max + 2; report the pi_e shift.
+    Both cells run as sample-free row jobs: only their pi_e is read."""
+    ((pi_e, _),) = _row_values((config,), "PiE")
+    ((pi_e_check, _),) = _row_values((apply_override(config, "solver.n_max", config.n_max + 2),), "PiE")
+    delta = abs(pi_e_check - pi_e)
     return {
         "n_max": config.n_max,
         "n_max_check": config.n_max + 2,
-        "pi_e": fom_a.pi_e,
-        "pi_e_check": fom_b.pi_e,
+        "pi_e": pi_e,
+        "pi_e_check": pi_e_check,
         "delta": delta,
         "converged": bool(delta < FOCK_TOL),
     }

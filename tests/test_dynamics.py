@@ -349,6 +349,43 @@ class TestStateInvariants:
         for rho in traj.states[:: len(traj.states) // 30]:
             assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() > -1e-6
 
+    @pytest.mark.parametrize("tol, raises", [(1e-8, True), (1e-6, False)])
+    @pytest.mark.usefixtures("leaky_generator")
+    def test_trace_leak_fails_a_two_point_grid(self, tol, raises):
+        # the guard holds the drift to 1e-8 from tol = 1e-8 down only
+        cfg = blue_case(amplitude_pi=2.0, phonon_enabled=False, n_field_points=4096)
+        system = cfg.system()
+        field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
+        grid = dynamics.ringdown_grid(system, field, 2)
+        if raises:
+            with pytest.raises(PropagationError, match="trace drift .* exceeds 1e-8"):
+                propagate(system, field, PHONONS_OFF, grid=grid, tol=tol)
+        else:
+            propagate(system, field, PHONONS_OFF, grid=grid, tol=tol)
+
+    def test_integrator_reads_the_trace_of_every_accepted_step(self):
+        # Tr = 1 + eps sin(w t) over one period: back at 1 at the end, so only
+        # the steps see each cell's drift of eps
+        eps, w = np.array([1e-6, 1e-4]), 2 * np.pi
+
+        def drive(cells, times):
+            return [(t, eps[cells]) for t in np.asarray(times).T]
+
+        def drift(y, stage, out=None):
+            t, eps_c = stage
+            dy = np.zeros_like(y) if out is None else out[:, 0]
+            dy[:] = 0.0
+            dy[:, 0] = eps_c * w * np.cos(w * t)
+            return dy
+
+        y0 = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
+        out = np.empty((2, 1, 1), dtype=complex)
+        y_end, _, trace_drift, failures = dynamics._dormand_prince(
+            drive, drift, y0, 0.0, 1.0, np.zeros(1), out, slice(0, 1), 1e-8, 1e-10, 1 / 64)
+        assert failures == [None, None]
+        assert np.abs(y_end[:, 0] - 1.0).max() < 1e-9
+        np.testing.assert_allclose(trace_drift, eps, rtol=1e-3)
+
     def test_tolerance_validation(self):
         cfg = blue_case()
         field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
@@ -402,6 +439,26 @@ class TestRow:
             alone = propagate(system, traj.field, PHONONS_OFF).cells[0]
             assert abs(traj.photons_out - alone.photons_out) < 1e-12
             assert np.shares_memory(traj.states, row.states)
+
+    def test_cells_share_the_row_field_and_a_two_point_tail_pays_one_expm(self, monkeypatch):
+        # each cell keeps the row's unit field and scales it on read; a tail
+        # of one sample is one expm, with no power of expm(L_T dt)
+        cfg = blue_case(amplitude_pi=1.0, phonon_enabled=False, n_field_points=4096)
+        system = cfg.system()
+        field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
+        calls, expm = [], dynamics.expm
+        monkeypatch.setattr(dynamics, "expm", lambda m: calls.append(m) or expm(m))
+        grid = dynamics.ringdown_grid(system, field, 2)
+        row = propagate(system, field, PHONONS_OFF, grid=grid, amplitudes=(2.0, 5.0))
+        assert len(calls) == 1
+        assert all(traj.unit_field is field for traj in row.cells)
+        sampled = propagate(system, field, PHONONS_OFF, amplitudes=(2.0, 5.0))
+        assert len(calls) == 3
+        for short, long in zip(row.cells, sampled.cells):
+            assert short.photons_out == long.photons_out
+            assert short.rhs_calls == long.rhs_calls
+            np.testing.assert_array_equal(short.states[0], long.states[0])
+            np.testing.assert_allclose(short.states[-1], long.states[-1], rtol=0, atol=1e-12)
 
     def test_generator_apply_matches_the_sparse_product_and_checks_its_input(self, monkeypatch):
         system = blue_case().system()

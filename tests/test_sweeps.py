@@ -114,6 +114,26 @@ class TestRows:
             assert area == alone_area
             np.testing.assert_array_equal(traj.states, alone.states)
         assert results[1][0].pi_e == 0.0
+        # the sample-free row job gives run_cell's values bit for bit
+        alone = [run_cell(cell) for cell in row]
+        for kind, value in (("PiE", "pi_e"), ("EtaC", "eta_c")):
+            got = sweeps._row_values(row, kind)
+            assert got == tuple((getattr(fom, value), area) for fom, area, _ in alone)
+
+    def test_row_jobs_propagate_two_samples_and_run_cell_its_n_traj_points(self, monkeypatch):
+        propagate, points = sweeps.propagate, []
+
+        def recorded(*args, grid, **kwargs):
+            points.append(grid.n_points)
+            return propagate(*args, grid=grid, **kwargs)
+
+        monkeypatch.setattr(sweeps, "propagate", recorded)
+        cfg = blue_case(phonon_enabled=False, **FAST)
+        power_sweep(cfg, [1.0, 2.0])
+        fock_convergence(cfg)
+        assert points == [2, 2, 2]
+        _, _, traj = run_cell(cfg)
+        assert points[-1] == FAST["n_traj_points"] == len(traj.states)
 
     def test_split_rows_give_the_values_of_one_row(self, monkeypatch):
         cfg = blue_case(phonon_enabled=False, **FAST)
@@ -160,6 +180,17 @@ class TestRows:
         with pytest.raises(SweepCellError, match=r"cell \(1, 1\) failed: trace drift"):
             run_sweep(blue_case(phonon_enabled=False, **FAST), spec)
         assert rows == [(1.0, 2.0, 3.0)] * 2
+
+    @pytest.mark.parametrize("tol, raises", [(1e-8, True), (1e-6, False)])
+    @pytest.mark.usefixtures("leaky_generator")
+    def test_trace_leak_fails_the_sweep(self, tol, raises):
+        # the sample-free row job keeps the trace guard, from tol = 1e-8 down
+        cfg = blue_case(phonon_enabled=False, tol=tol, **FAST)
+        if raises:
+            with pytest.raises(SweepCellError, match=r"cell \(0,\) failed: trace drift .* exceeds 1e-8"):
+                power_sweep(cfg, [2.0, 3.0])
+        else:
+            assert power_sweep(cfg, [2.0, 3.0]).values.min() > 0.0
 
 
 class TestMetadataFollowsTheSpec:
