@@ -77,6 +77,9 @@ class RunConfig:
             raise ConfigError("solver.tol: must lie in [1e-12, 1e-4]")
         if self.n_max < 1:
             raise ConfigError("solver.n_max: must be at least 1")
+        for key in ("n_field_points", "n_traj_points"):
+            if getattr(self, key) < 2:
+                raise ConfigError(f"solver.{key}: must be at least 2")
 
     # spec builders -----------------------------------------------------
     @property

@@ -18,7 +18,7 @@ instantaneous eigenbasis of H(t) with coupling A = sigma+ sigma-.
 A ``propagate`` call integrates a row: one field shape and the amplitudes
 that scale it, one cell each (a single cell is a row of one).  It builds one
 Generator (L0, drive superoperators) and, for the non-secular map, one
-RedfieldTable holding each cell's Lambda in |Omega|; the secular map
+RedfieldTable holding Lambda in |Omega| for every cell; the secular map
 (``PhononSpec.secular``) is rebuilt at each evaluation.  The drive window is
 integrated by an in-house Dormand-Prince loop (``_dormand_prince``) that
 steps every cell of the row with its own step control, so a cell's numbers
@@ -41,7 +41,10 @@ from .pulses import IntracavityField, TimeGrid, hermite_cubic
 from .qcore import HilbertSpec, annihilation, ground_state, sigma_minus
 
 
-TABLE_POINTS = 256  # nodes of a cell's Redfield table on [0, max |Omega|]
+# rad/s between the Redfield table's nodes k * TABLE_STEP in |Omega|, a fifth of
+# the default g.  The error falls as the step's fourth power; here it moves pi_e
+# by at most 3e-12 (4.2e-9 relative between nodes, where the tests allow 1e-8)
+TABLE_STEP = 5e9
 
 # The Dormand-Prince 5(4) tableau as scipy's RK45 writes it (C, A, B, the
 # error weights E and the dense-output matrix P of Shampine, Math. Comp. 46,
@@ -266,49 +269,43 @@ def redfield_dissipator(system, phonon, h_now):
 
 
 class RedfieldTable:
-    """The non-secular map of a row of cells, rho -> [Lambda rho - rho Lambda^dag, A],
-    with each cell's Lambda read from its own table in r = |Omega|.
+    """The non-secular map rho -> [Lambda rho - rho Lambda^dag, A], with Lambda
+    read from a table in r = |Omega| that every cell of a row shares.
 
     N = a^dag a + sigma+ sigma- commutes with h0 and A, and sigma+ raises it by
     one, so H(r e^{i phi}) = U H(r) U^dag with U = e^{i phi N}, and Lambda
     follows: Lambda(Omega)_jk = (Omega/r)^(N_j - N_k) Lambda(r)_jk, where
-    Lambda(r) is real.  Cell c's table samples it at TABLE_POINTS nodes on
-    [0, r_max[c]] and two guard nodes past each end; one batched eigh and one
-    bath_rate call build every table of the row.  Between nodes it is read by
-    the drive's C1 cubic Hermite rule (``hermite_cubic``), kept as the
-    cubic's coefficients on each of the TABLE_POINTS - 1 intervals of
-    [0, r_max[c]]; the guard nodes give their end slopes.  A scalar r_max is
-    a row of one.
+    Lambda(r) is real and depends on the system and the phonon spec alone.
+    The table samples it at the nodes k TABLE_STEP up to the first past r_max,
+    plus two guard nodes past each end (one batched eigh, one bath_rate call),
+    and keeps the drive's C1 cubic Hermite rule (``hermite_cubic``) on each
+    interval from 0 to the last interior node; the guard nodes give the end
+    slopes.  No node or cubic depends on r_max, so a cell reads the same
+    numbers from any table that covers its drive.
     """
 
     def __init__(self, system, phonon, gen, r_max):
         n_fock = system.hilbert.n_fock  # A projects onto the indices >= n_fock
-        r_max = np.atleast_1d(np.asarray(r_max, dtype=float))
-        # a zero field reads r = 0 only
-        self.step = np.where(r_max > 0.0, r_max / (TABLE_POINTS - 1), 1.0)
-        r = np.arange(-2, TABLE_POINTS + 2)[:, None] * self.step  # (node, cell)
-        ev, vec = np.linalg.eigh(gen.h0.real + 0.5 * r[..., None, None] * (gen.sp + gen.sm).real)
+        # nodes -2 .. n + 2 for n = int(r_max / TABLE_STEP) + 1: r_max < n TABLE_STEP
+        r = np.arange(-2, int(r_max / TABLE_STEP) + 4) * TABLE_STEP
+        ev, vec = np.linalg.eigh(gen.h0.real + 0.5 * r[:, None, None] * (gen.sp + gen.sm).real)
         gam = bath_rate(phonon, ev[..., None, :] - ev[..., :, None])  # [m, n] = E_n - E_m
         up = vec[..., n_fock:, :]
         lam = vec @ (up.swapaxes(-1, -2) @ up * (0.5 * gam)) @ vec.swapaxes(-1, -2)
-        # (interval, power, cell, dim * dim) on [0, r_max], a view: the linear
-        # guard intervals are never read, and a contiguous copy in cell-major
-        # order raised the peak RSS of phonon power sweeps by 1.7 MB
-        self.cubic = hermite_cubic(lam.reshape(r.shape + (-1,)))[2:-2]
+        # (interval, power, dim * dim): the linear guard intervals are never read
+        self.cubic = hermite_cubic(lam.reshape(len(r), -1))[2:-2]
         n_exc = np.rint(np.diag(gen.n_op + gen.pop).real).astype(int)
         self.exponent = n_exc[:, None] - n_exc[None, :]  # N_j - N_k
         a_diag = (np.arange(len(n_exc)) >= n_fock).astype(float)
         self.sign = a_diag[None, :] - a_diag[:, None]  # [z, A]_ij = z_ij (A_jj - A_ii)
 
-    def lam(self, omega, cells):
-        """Lambda(Omega) and its adjoint for omega of shape (..., len(cells)):
-        the last axis runs over the given cells, which read their own tables.
-        Each has shape omega.shape + (dim, dim)."""
+    def lam(self, omega):
+        """Lambda(Omega) and its adjoint, each of shape omega.shape + (dim, dim)."""
         r = np.abs(omega)
-        x = r / self.step[cells]
-        i = np.minimum(x.astype(np.intp), TABLE_POINTS - 2)
+        x = r / TABLE_STEP
+        i = np.minimum(x.astype(np.intp), len(self.cubic) - 1)
         powers = (x - i)[..., None, None] ** np.arange(4)
-        lam = np.matmul(powers, self.cubic[i, :, cells])
+        lam = np.matmul(powers, self.cubic[i])
         # the U(1) phase Omega / r, by components: a complex division
         # overflows for a subnormal r; at r = 0 Lambda is real
         safe = np.where(r > 0.0, r, 1.0)
@@ -359,7 +356,7 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
     table = None
     if phonon.enabled and not phonon.secular:
         # a negative amplitude drives -|a| field: its |Omega| is bounded by |a| r_max
-        table = RedfieldTable(system, phonon, gen, np.abs(amps) * field.magnitude_bound())
+        table = RedfieldTable(system, phonon, gen, np.abs(amps).max() * field.magnitude_bound())
 
     def drive(cells, times):
         """The drive of the given cells at times (cells, stages), stage by
@@ -370,7 +367,7 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
         weights[..., 0, 1], weights[..., 0, 2] = omega, np.conj(omega)
         lam = lam_d = [None] * len(omega)
         if table is not None:
-            lam, lam_d = table.lam(omega, cells)
+            lam, lam_d = table.lam(omega)
         return list(zip(weights, lam, lam_d))
 
     def drift(y, stage, out=None):
@@ -409,8 +406,7 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
     weights[:, 0, 0] = 1.0  # Omega = 0
     lam0 = lam0_d = None
     if table is not None:
-        pair = table.lam(np.zeros(1), np.arange(1))  # Lambda(0) is the same in every cell's table
-        lam0, lam0_d = (np.broadcast_to(m[0], (d2 + 1, dim, dim)) for m in pair)
+        lam0, lam0_d = (np.broadcast_to(m, (d2 + 1, dim, dim)) for m in table.lam(np.zeros(1)))
     l_tail = drift(np.eye(d2 + 1, dtype=complex), (weights, lam0, lam0_d)).T
     l_rho, flux = l_tail[:d2, :d2], l_tail[d2, :d2]
     # L_T rho_ss = 0, Tr rho_ss = 1 and L_T x = rho_ss - rho_T, Tr x = 0: the

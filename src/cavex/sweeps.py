@@ -37,12 +37,14 @@ from .pulses import intracavity_field_numeric, pulse_area
 FOCK_TOL = 1e-4  # the largest pi_e shift from n_max to n_max + 2 that counts as converged
 # the most cells one job integrates together.  A cell added 2.8 MB to a job's
 # peak when the cap was set (2000 samples of states, Redfield table, scaled
-# field); with no samples and one shared field it adds about 1.3 MB, nearly
-# all the transient of its Redfield table build (tracemalloc, fig2c rows).
-# On the full fig2c and fig3a recipes (2 workers, 2 vCPU) caps 6 to 13 took
-# the same wall time within the runs' spread, and 8 was the largest cap
-# whose peak RSS stayed within 2 % of the solve_ivp code's; 10 reached +10 %
-# and 13 +18 %.
+# field); with no samples, one shared field and one Redfield table per job it
+# adds about 0.05 MB: fig2c rows of 1, 2 and 8 cells holding the 12 pi cell
+# all peak at 1.92 MB (tracemalloc), the table build's 1.26 MB on top of the
+# field, against 2.15, 3.62 and 11.40 MB with a table per cell.  The cap was
+# set, and not measured since, on the full fig2c and fig3a recipes (2 workers,
+# 2 vCPU): caps 6 to 13 took the same wall time within the runs' spread, and 8
+# was the largest cap whose peak RSS stayed within 2 % of the solve_ivp
+# code's; 10 reached +10 % and 13 +18 %.
 ROW_CELLS = 8
 
 

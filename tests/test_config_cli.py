@@ -88,11 +88,18 @@ class TestValidation:
             dict(tol=1e-2),
             dict(tol=1e-13),
             dict(n_max=0),
+            dict(n_traj_points=1),
+            dict(n_field_points=1),
         ],
     )
     def test_bad_field_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
+
+    @pytest.mark.parametrize("key", ["n_traj_points", "n_field_points"])
+    def test_point_count_error_names_its_key(self, key):
+        with pytest.raises(ConfigError, match=f"solver.{key}: must be at least 2"):
+            RunConfig(**{key: 1})
 
     def test_override_unknown_path(self):
         with pytest.raises(ConfigError, match="unknown config key"):

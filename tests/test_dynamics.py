@@ -9,7 +9,7 @@ import pytest
 from cavex import dynamics
 from cavex.config import blue_case, red_case
 from cavex.dynamics import (
-    TABLE_POINTS,
+    TABLE_STEP,
     Generator,
     PropagationError,
     RedfieldTable,
@@ -264,22 +264,28 @@ def random_density_matrix(rng, dim):
 def table_map(table, omega, rho):
     """The table's map at one drive value, through the lookup and the
     commutator that propagate's drift runs."""
-    return table.apply(*table.lam(np.array([omega]), np.arange(1)), rho)[0]
+    return table.apply(*table.lam(np.array([omega])), rho)[0]
+
+
+def blue_field(amplitude_pi, **overrides):
+    cfg = blue_case(amplitude_pi=amplitude_pi, **overrides)
+    return cfg, intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
 
 
 class TestRedfieldTable:
     @pytest.mark.parametrize("n_max", [3, 5])
     def test_matches_per_call_map_on_random_drive(self, n_max):
         # the eigenbasis map of gen.hamiltonian(omega) is the oracle: at the
-        # nodes only the U(1) phase acts, between them the cubic rule too
-        cfg = blue_case(amplitude_pi=12.0, n_max=n_max)
+        # nodes only the U(1) phase acts, between them the cubic rule too;
+        # the first ten intervals are where a weak cell reads
+        cfg, field = blue_field(12.0, n_max=n_max)
         system, phonon = cfg.system(), cfg.phonon()
-        field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
         gen = Generator(system)
         table = RedfieldTable(system, phonon, gen, field.magnitude_bound())
         rng = np.random.default_rng(21)
-        for r_nodes, bound in ((rng.integers(0, TABLE_POINTS, 10) * table.step, 1e-13),
-                               (rng.uniform(0.0, field.magnitude_bound(), 10), 1e-8)):
+        for r_nodes, bound in ((rng.integers(0, len(table.cubic) + 1, 10) * TABLE_STEP, 1e-13),
+                               (rng.uniform(0.0, field.magnitude_bound(), 10), 1e-8),
+                               (rng.uniform(0.0, 10 * TABLE_STEP, 10), 1e-8)):
             for r in r_nodes:
                 omega = r * np.exp(2j * np.pi * rng.uniform())
                 rho = random_density_matrix(rng, system.hilbert.dim)
@@ -290,34 +296,53 @@ class TestRedfieldTable:
     def test_covers_the_interpolated_field_without_extrapolating(self):
         # at() overshoots the largest sample between samples (by ~1e-6 of
         # the peak here); the table must end past every |Omega| it returns
-        cfg = blue_case(amplitude_pi=12.0)
+        cfg, field = blue_field(12.0)
         system = cfg.system()
-        field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
         peak = np.abs(field.envelope).argmax()
         times = np.linspace(*field.grid.times[[peak - 3, peak + 3]], 3001)
         largest = max(abs(field.at(t)) for t in times)
         assert largest > np.abs(field.envelope).max()
         table = RedfieldTable(system, cfg.phonon(), Generator(system), field.magnitude_bound())
-        assert largest <= table.step * (TABLE_POINTS - 1)
+        assert largest < len(table.cubic) * TABLE_STEP  # the last interior node
 
     def test_one_bath_rate_call_per_cell(self, monkeypatch):
-        # the table is built once; the drift calls neither eigh nor bath_rate
-        calls = []
+        # one bath_rate call and one eigh batch, no larger than the one the
+        # row's strongest cell builds alone; the drift calls neither
+        calls, nodes = [], []
         monkeypatch.setattr(dynamics, "bath_rate", lambda *a: calls.append(1) or bath_rate(*a))
-        cfg = blue_case(amplitude_pi=4.0, n_field_points=4096)
-        field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
-        propagate(cfg.system(), field, cfg.phonon())
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: nodes.append(a.size // a.shape[-1] ** 2) or eigh(a))
+        cfg, field = blue_field(1.0, n_field_points=4096)
+        system, amplitudes = cfg.system(), np.linspace(0.5, 12.0, 8)
+        grid = dynamics.ringdown_grid(system, field, 2)
+        propagate(system, field, cfg.phonon(), grid=grid, amplitudes=amplitudes)
         assert len(calls) == 1
+        row_nodes = nodes[:]
+        nodes.clear()
+        propagate(system, field, cfg.phonon(), grid=grid, amplitudes=amplitudes[-1:])
+        assert len(row_nodes) == 1 and row_nodes[0] <= nodes[0]
+
+    def test_lookup_does_not_depend_on_the_table_size(self):
+        # the invariant behind a cell equalling its own run: every node and
+        # interval a small table holds is the same in a larger one
+        cfg, field = blue_field(3.0)
+        system, phonon = cfg.system(), cfg.phonon()
+        gen, bound = Generator(system), field.magnitude_bound()
+        small, large = (RedfieldTable(system, phonon, gen, r) for r in (bound, 4.0 * bound))
+        assert len(small.cubic) < len(large.cubic)
+        rng = np.random.default_rng(8)
+        omega = rng.uniform(0.0, bound, (6, 5)) * np.exp(2j * np.pi * rng.uniform(size=(6, 5)))
+        for got, want in zip(small.lam(omega), large.lam(omega)):
+            assert np.array_equal(got, want)
 
     def test_zero_field_builds_a_valid_table_and_emits_nothing(self):
-        cfg = blue_case(amplitude_pi=0.0)
+        cfg, field = blue_field(0.0)
         system, phonon = cfg.system(), cfg.phonon()
-        field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
         assert field.magnitude_bound() == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no division by zero
             table = RedfieldTable(system, phonon, Generator(system), 0.0)
-            assert table.step > 0.0 and np.all(np.isfinite(table.cubic))
+            assert len(table.cubic) == 1 and np.all(np.isfinite(table.cubic))
             rho = random_density_matrix(np.random.default_rng(4), system.hilbert.dim)
             want = redfield_dissipator(system, phonon, Generator(system).h0)(rho)
             assert np.abs(table_map(table, 0.0, rho) - want).max() <= 1e-13 * np.abs(want).max()
