@@ -83,9 +83,8 @@ def _mechanism_config(config, mechanism):
     if mechanism == "Chirped":
         if config.chirp_rate_ps2 == 0.0:
             raise ConfigError("pulse.chirp_rate_ps2: Chirped mechanism requires a nonzero chirp")
-        # while the chirp sweeps through resonance the non-secular rates are
-        # ill-conditioned (the dressed splitting crosses zero); the secular
-        # rate-equation form is the controlled limit there
+        # the phonon term in its secular rate-equation form: population
+        # transfer between the instantaneous eigenstates the chirp sweeps
         return replace(
             config, pulse_shape="ChirpedGaussian", delta_omega_L_GHz=0.0, secular=True
         )

@@ -18,11 +18,12 @@ instantaneous eigenbasis of H(t) with coupling A = sigma+ sigma-.
 A ``propagate`` call integrates a row: one field shape and the amplitudes
 that scale it, one cell each (a single cell is a row of one).  It builds one
 Generator (L0, drive superoperators) and, for the non-secular map, one
-RedfieldTable holding Lambda in |Omega| for every cell; the secular map
-(``PhononSpec.secular``) is rebuilt at each evaluation.  The drive window is
-integrated by an in-house Dormand-Prince loop (``_dormand_prince``) that
-steps every cell of the row with its own step control, so a cell's numbers
-do not depend on its row.  The photon count is part of the state, and the
+RedfieldTable holding Lambda in |Omega| for every cell.  Each drive stage
+has one phonon map for all its cells: the commutator with the table's Lambda,
+or the secular map (``PhononSpec.secular``) of the cells' H.  An in-house
+Dormand-Prince loop (``_dormand_prince``) steps every cell of the row over
+the drive window with its own step control, so a cell's numbers do not
+depend on its row.  The photon count is part of the state, and the
 ring-down tail, whose generator does not depend on the amplitude, is closed
 once for the row.
 """
@@ -192,6 +193,8 @@ class Generator:
         self.terms = scipy.sparse.csr_array(terms.reshape(3 * (d2 + 1), d2 + 1))
 
     def hamiltonian(self, omega):
+        """H(Omega)/hbar for each Omega of the array omega: shape omega.shape + (dim, dim)."""
+        omega = np.asarray(omega)[..., None, None]
         return self.h0 + 0.5 * omega * self.sp + 0.5 * np.conj(omega) * self.sm
 
     def apply(self, y):
@@ -217,10 +220,33 @@ def hamiltonian_at(system, field, t):
     return Generator(system).hamiltonian(np.conj(field.at(t)))
 
 
+def _eigenbasis(phonon, h, n_fock):
+    """Per matrix of the stack h: eigenvectors, A = sigma+ sigma- (the projector
+    onto the indices >= n_fock) in them, and gamma(E_n - E_m) at [m, n].  Non-finite
+    entries are decomposed as zeros: the drive that made them fails its own cell."""
+    ev, vec = np.linalg.eigh(np.where(np.isfinite(h), h, 0.0))
+    up = vec[..., n_fock:, :]
+    return vec, up.conj().swapaxes(-1, -2) @ up, bath_rate(phonon, ev[..., None, :] - ev[..., :, None])
+
+
+def _lambda(vec, a_eig, gam):
+    """Lambda = sum_mn A_mn gamma(w_nm)/2 |m><n|, from the eigenbasis back."""
+    return vec @ (a_eig * (0.5 * gam)) @ vec.conj().swapaxes(-1, -2)
+
+
+def _commutator(lam, n_fock):
+    """The maps rho -> [Lambda rho - rho Lambda^dag, A], one per lam[k]."""
+    a_diag = (np.arange(lam.shape[-1]) >= n_fock).astype(float)
+    sign = a_diag[None, :] - a_diag[:, None]  # [z, A]_ij = z_ij (A_jj - A_ii)
+    return [lambda rho, lam=m, lam_d=m_d: (lam @ rho - rho @ lam_d) * sign
+            for m, m_d in zip(lam, lam.conj().swapaxes(-1, -2).copy())]
+
+
 def redfield_dissipator(system, phonon, h_now):
     """Action of the phonon dissipator built from the instantaneous eigenbasis.
 
-    Returns a function rho -> d(rho)/dt contribution, linear in rho.  With
+    Returns a function rho -> d(rho)/dt contribution, linear in rho, for
+    each matrix of the stack h_now (broadcast against rho).  With
     coupling A = sigma+ sigma- and one-sided rates gamma(w) at the
     eigenfrequency differences, the non-secular form uses
     Lambda = sum_{mn} A_mn gamma(w_nm)/2 |m><n| (in the eigenbasis):
@@ -236,41 +262,30 @@ def redfield_dissipator(system, phonon, h_now):
     """
     if not phonon.enabled:
         return lambda rho: 0.0
-    n_fock = system.hilbert.n_fock  # A projects onto the indices >= n_fock
+    n_fock = system.hilbert.n_fock
+    vec, a_eig, gam = _eigenbasis(phonon, h_now, n_fock)
+    if not phonon.secular:
+        return _commutator(_lambda(vec, a_eig, gam)[None], n_fock)[0]
 
-    ev, vec = np.linalg.eigh(h_now)
-    w_nm = ev[None, :] - ev[:, None]  # element [m, n] = E_n - E_m
-    up = vec[n_fock:]
-    a_eig = up.conj().T @ up
-    gam = bath_rate(phonon, w_nm)
+    # population rates W_{m<-n} = gamma(w_nm) |A_mn|^2, plus decay of
+    # eigenbasis coherences at the mean outgoing rate
+    w_rates = gam * np.abs(a_eig) ** 2
+    out = w_rates.sum(axis=-2)  # total leaving each eigenstate
+    deph = 0.5 * (out[..., :, None] + out[..., None, :])  # its diagonal is out itself
+    vec_d, diag = vec.conj().swapaxes(-1, -2), np.diag_indices(vec.shape[-1])
 
-    if phonon.secular:
-        # population rates W_{m<-n} = gamma(w_nm) |A_mn|^2, plus decay of
-        # eigenbasis coherences at the mean outgoing rate
-        w_rates = gam * np.abs(a_eig) ** 2
-        out = w_rates.sum(axis=0)  # total leaving each eigenstate
-        deph = 0.5 * (out[:, None] + out[None, :])  # its diagonal is out itself
+    def apply_secular(rho):
+        r_eig = vec_d @ rho @ vec
+        gain = np.zeros_like(r_eig)
+        gain[(...,) + diag] = (w_rates @ r_eig[(...,) + diag][..., None])[..., 0]
+        return vec @ (gain - deph * r_eig) @ vec_d
 
-        def apply_secular(rho):
-            r_eig = vec.conj().T @ rho @ vec
-            return vec @ (np.diag(w_rates @ np.diag(r_eig)) - deph * r_eig) @ vec.conj().T
-
-        return apply_secular
-
-    lam = vec @ (a_eig * (0.5 * gam)) @ vec.conj().T
-    lam_d = lam.conj().T
-    a_diag = (np.arange(len(ev)) >= n_fock).astype(float)
-    sign = a_diag[None, :] - a_diag[:, None]  # [z, A]_ij = z_ij (A_jj - A_ii)
-
-    def apply(rho):
-        return (lam @ rho - rho @ lam_d) * sign
-
-    return apply
+    return apply_secular
 
 
 class RedfieldTable:
-    """The non-secular map rho -> [Lambda rho - rho Lambda^dag, A], with Lambda
-    read from a table in r = |Omega| that every cell of a row shares.
+    """Lambda of the non-secular map, read from a table in r = |Omega| that
+    every cell of a row shares.
 
     N = a^dag a + sigma+ sigma- commutes with h0 and A, and sigma+ raises it by
     one, so H(r e^{i phi}) = U H(r) U^dag with U = e^{i phi N}, and Lambda
@@ -285,39 +300,27 @@ class RedfieldTable:
     """
 
     def __init__(self, system, phonon, gen, r_max):
-        n_fock = system.hilbert.n_fock  # A projects onto the indices >= n_fock
         # nodes -2 .. n + 2 for n = int(r_max / TABLE_STEP) + 1: r_max < n TABLE_STEP
         r = np.arange(-2, int(r_max / TABLE_STEP) + 4) * TABLE_STEP
-        ev, vec = np.linalg.eigh(gen.h0.real + 0.5 * r[:, None, None] * (gen.sp + gen.sm).real)
-        gam = bath_rate(phonon, ev[..., None, :] - ev[..., :, None])  # [m, n] = E_n - E_m
-        up = vec[..., n_fock:, :]
-        lam = vec @ (up.swapaxes(-1, -2) @ up * (0.5 * gam)) @ vec.swapaxes(-1, -2)
+        h = gen.h0.real + 0.5 * r[:, None, None] * (gen.sp + gen.sm).real
+        lam = _lambda(*_eigenbasis(phonon, h, system.hilbert.n_fock))
         # (interval, power, dim * dim): the linear guard intervals are never read
         self.cubic = hermite_cubic(lam.reshape(len(r), -1))[2:-2]
         n_exc = np.rint(np.diag(gen.n_op + gen.pop).real).astype(int)
         self.exponent = n_exc[:, None] - n_exc[None, :]  # N_j - N_k
-        a_diag = (np.arange(len(n_exc)) >= n_fock).astype(float)
-        self.sign = a_diag[None, :] - a_diag[:, None]  # [z, A]_ij = z_ij (A_jj - A_ii)
 
     def lam(self, omega):
-        """Lambda(Omega) and its adjoint, each of shape omega.shape + (dim, dim)."""
+        """Lambda(Omega), of shape omega.shape + (dim, dim); non-finite for a non-finite Omega."""
         r = np.abs(omega)
         x = r / TABLE_STEP
-        i = np.minimum(x.astype(np.intp), len(self.cubic) - 1)
+        i = np.fmin(x, len(self.cubic) - 1).astype(np.intp)  # fmin: NaN reads the last interval
         powers = (x - i)[..., None, None] ** np.arange(4)
         lam = np.matmul(powers, self.cubic[i])
         # the U(1) phase Omega / r, by components: a complex division
         # overflows for a subnormal r; at r = 0 Lambda is real
         safe = np.where(r > 0.0, r, 1.0)
         phase = np.where(r > 0.0, omega.real / safe + 1j * (omega.imag / safe), 1.0)
-        dim = len(self.sign)
-        lam = lam.reshape(r.shape + (dim, dim)) * phase[..., None, None] ** self.exponent
-        return lam, lam.conj().swapaxes(-1, -2).copy()
-
-    def apply(self, lam, lam_d, rho):
-        """The map rho -> [Lambda rho - rho Lambda^dag, A] under Lambda = lam,
-        whose adjoint is lam_d (a pair from ``lam``)."""
-        return (lam @ rho - rho @ lam_d) * self.sign
+        return lam.reshape(r.shape + self.exponent.shape) * phase[..., None, None] ** self.exponent
 
 
 @dataclass(frozen=True)
@@ -349,40 +352,42 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol must lie in [1e-12, 1e-4]")
     amps = np.array(amplitudes, dtype=float)
-    gen, dim, d2 = Generator(system), system.hilbert.dim, system.hilbert.dim ** 2
+    gen, dim, d2, n_fock = Generator(system), system.hilbert.dim, system.hilbert.dim ** 2, system.hilbert.n_fock
     rho0 = ground_state(system.hilbert) if rho0 is None else rho0
     grid = ringdown_grid(system, field, 600) if grid is None else grid
 
     table = None
     if phonon.enabled and not phonon.secular:
-        # a negative amplitude drives -|a| field: its |Omega| is bounded by |a| r_max
-        table = RedfieldTable(system, phonon, gen, np.abs(amps).max() * field.magnitude_bound())
+        # a negative amplitude drives -|a| field: its |Omega| is bounded by |a| r_max;
+        # a non-finite amplitude fails its own cell and does not size the table
+        bound = np.abs(amps).max(initial=0.0, where=np.isfinite(amps))
+        table = RedfieldTable(system, phonon, gen, bound * field.magnitude_bound())
 
-    def drive(cells, times):
-        """The drive of the given cells at times (cells, stages), stage by
-        stage: the weights (1, Omega, Omega*) of the three generator terms,
-        and each cell's Lambda and Lambda^dag."""
-        omega = np.conj(amps[cells, None] * field.at(times)).T
+    def stages(omega):
+        """Each stage of omega (stages, cells): the weights (1, Omega, Omega*)
+        of the three generator terms, and one phonon map for all its cells."""
         weights = np.ones(omega.shape + (1, 3), dtype=complex)
         weights[..., 0, 1], weights[..., 0, 2] = omega, np.conj(omega)
-        lam = lam_d = [None] * len(omega)
         if table is not None:
-            lam, lam_d = table.lam(omega)
-        return list(zip(weights, lam, lam_d))
+            maps = _commutator(table.lam(omega), n_fock)
+        elif phonon.enabled:
+            maps = [redfield_dissipator(system, phonon, gen.hamiltonian(w)) for w in omega]
+        else:
+            maps = [None] * len(omega)
+        return list(zip(weights, maps))
+
+    def drive(cells, times):
+        """The drive of the given cells at times (cells, stages), stage by stage."""
+        return stages(np.conj(amps[cells, None] * field.at(times)).T)
 
     def drift(y, stage, out=None):
         """dy/dt of each row of y, one cell each, under its stage of the
         drive, written to out (rows, 1, d2 + 1) if given."""
-        weights, lam, lam_d = stage
+        weights, phonon_map = stage
         # gen.apply is contiguous for any number of rows: matmul's arithmetic follows the layout
         dy = np.matmul(weights, gen.apply(y), out=out)[:, 0]
-        if lam is not None:
-            rho = y[:, :d2].reshape(-1, dim, dim)
-            dy[:, :d2] += table.apply(lam, lam_d, rho).reshape(-1, d2)
-        elif phonon.enabled:
-            for k, (w, r) in enumerate(zip(weights, y[:, :d2].reshape(-1, dim, dim))):
-                h = gen.hamiltonian(w[0, 1])
-                dy[k, :d2] += redfield_dissipator(system, phonon, h)(r).ravel()
+        if phonon_map is not None:
+            dy[:, :d2] += phonon_map(y[:, :d2].reshape(-1, dim, dim)).reshape(-1, d2)
         return dy
 
     times = grid.times
@@ -402,12 +407,7 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
                                                         slice(0, d2, dim + 1), tol, 1e-2 * tol, max_step)
 
     # the constant tail generator, column by column from the same drift
-    weights = np.zeros((d2 + 1, 1, 3), dtype=complex)
-    weights[:, 0, 0] = 1.0  # Omega = 0
-    lam0 = lam0_d = None
-    if table is not None:
-        lam0, lam0_d = (np.broadcast_to(m, (d2 + 1, dim, dim)) for m in table.lam(np.zeros(1)))
-    l_tail = drift(np.eye(d2 + 1, dtype=complex), (weights, lam0, lam0_d)).T
+    l_tail = drift(np.eye(d2 + 1, dtype=complex), stages(np.zeros((1, 1)))[0]).T
     l_rho, flux = l_tail[:d2, :d2], l_tail[d2, :d2]
     # L_T rho_ss = 0, Tr rho_ss = 1 and L_T x = rho_ss - rho_T, Tr x = 0: the
     # rho_00 row is redundant (L_T preserves the trace), so Tr takes its place

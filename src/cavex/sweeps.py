@@ -37,14 +37,13 @@ from .pulses import intracavity_field_numeric, pulse_area
 FOCK_TOL = 1e-4  # the largest pi_e shift from n_max to n_max + 2 that counts as converged
 # the most cells one job integrates together.  A cell added 2.8 MB to a job's
 # peak when the cap was set (2000 samples of states, Redfield table, scaled
-# field); with no samples, one shared field and one Redfield table per job it
-# adds about 0.05 MB: fig2c rows of 1, 2 and 8 cells holding the 12 pi cell
-# all peak at 1.92 MB (tracemalloc), the table build's 1.26 MB on top of the
-# field, against 2.15, 3.62 and 11.40 MB with a table per cell.  The cap was
-# set, and not measured since, on the full fig2c and fig3a recipes (2 workers,
-# 2 vCPU): caps 6 to 13 took the same wall time within the runs' spread, and 8
-# was the largest cap whose peak RSS stayed within 2 % of the solve_ivp
-# code's; 10 reached +10 % and 13 +18 %.
+# field); with no samples, one shared field and one Redfield table per job,
+# fig2c row jobs of 1, 2 and 8 cells holding the 12 pi cell peak at 1.86,
+# 1.86 and 1.88 MB (tracemalloc), mostly the table build on top of the field.
+# The cap was set, and not measured since, on the full fig2c and fig3a
+# recipes (2 workers, 2 vCPU): caps 6 to 13 took the same wall time within
+# the runs' spread, and 8 was the largest cap whose peak RSS stayed within
+# 2 % of the code it replaced; 10 reached +10 % and 13 +18 %.
 ROW_CELLS = 8
 
 
@@ -71,35 +70,27 @@ def run_cell(config):
     return _run_row((config,))[0]
 
 
-def _run_row(configs):
-    """Cells that differ only in pulse.amplitude_pi, simulated together and
-    sampled at each config's n_traj_points.  Returns the (fom, area, traj)
-    of each cell."""
-    system, area, row = _propagate_row(configs, configs[0].n_traj_points)
+def _run_row(configs, n_points=None):
+    """Cells that differ only in pulse.amplitude_pi, simulated together: one
+    field build at unit amplitude and one propagate call, on the ring-down
+    grid of n_points samples (default: the first config's n_traj_points).
+    Returns the (fom, intra-cavity area, traj) of each cell."""
+    unit = replace(configs[0], amplitude_pi=1.0)
+    system = unit.system()
+    field = intracavity_field_numeric(unit.pulse(), unit.excitation_mode(), unit.field_grid())
+    grid = ringdown_grid(system, field, n_points or unit.n_traj_points)
+    amps = tuple(config.amplitude_pi for config in configs)
+    row = propagate(system, field, unit.phonon(), grid=grid, tol=unit.tol, amplitudes=amps)
+    area = pulse_area(field)
     return [(figure_of_merit(traj, system), area * traj.amplitude, traj) for traj in row.cells]
 
 
 def _row_values(configs, reduce_kind):
-    """The (value, intra-cavity area) of each cell of a row job.  A sweep
-    keeps no samples, so the row is propagated on the two ends of its
-    ring-down grid; pi_e and eta_c take figure_of_merit's arithmetic."""
-    system, area, row = _propagate_row(configs, 2)
-    beta = beta_collection(system)
-    return tuple((traj.photons_out if reduce_kind == "PiE" else beta * traj.photons_out, area * traj.amplitude)
-                 for traj in row.cells)
-
-
-def _propagate_row(configs, n_points):
-    """One field build at unit amplitude and one propagate call for the row,
-    on the ring-down grid of n_points samples.  Returns the system, the
-    intra-cavity area at unit amplitude and the Row."""
-    unit = replace(configs[0], amplitude_pi=1.0)
-    system = unit.system()
-    field = intracavity_field_numeric(unit.pulse(), unit.excitation_mode(), unit.field_grid())
-    grid = ringdown_grid(system, field, n_points)
-    amps = tuple(config.amplitude_pi for config in configs)
-    row = propagate(system, field, unit.phonon(), grid=grid, tol=unit.tol, amplitudes=amps)
-    return system, pulse_area(field), row
+    """The (value, intra-cavity area) of each cell of a row job: its pi_e
+    or eta_c.  A sweep keeps no samples, so the row is propagated on the
+    two ends of its ring-down grid."""
+    value = "pi_e" if reduce_kind == "PiE" else "eta_c"
+    return tuple((getattr(fom, value), area) for fom, area, _ in _run_row(configs, 2))
 
 
 def _rows(cells):

@@ -230,6 +230,19 @@ class TestRedfield:
         got = redfield_dissipator(system, replace(phonon, secular=True), h)(x)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("secular", [False, True])
+    def test_stack_equals_each_matrix_alone(self, secular):
+        # propagate builds one map for all the cells of a stage: each
+        # matrix of the stack gets its own map, bit for bit
+        cfg = blue_case(secular=secular)
+        system, phonon = cfg.system(), cfg.phonon()
+        gen, rng = Generator(system), np.random.default_rng(17)
+        omega = rng.uniform(0.0, 400.0 * GHZ, 5) * np.exp(2j * np.pi * rng.uniform(size=5))
+        rho = np.array([random_density_matrix(rng, system.hilbert.dim) for _ in omega])
+        stacked = redfield_dissipator(system, phonon, gen.hamiltonian(omega))(rho)
+        for k, w in enumerate(omega):
+            assert np.array_equal(stacked[k], redfield_dissipator(system, phonon, gen.hamiltonian(w))(rho[k]))
+
     @pytest.mark.parametrize("temperature", [4.2, 0.0])
     def test_continuous_at_degenerate_eigenbasis(self, temperature):
         # at dwc = 0, |g,0> and |e,n_max> both sit at zero energy in H0
@@ -264,7 +277,7 @@ def random_density_matrix(rng, dim):
 def table_map(table, omega, rho):
     """The table's map at one drive value, through the lookup and the
     commutator that propagate's drift runs."""
-    return table.apply(*table.lam(np.array([omega])), rho)[0]
+    return dynamics._commutator(table.lam(np.array([omega])), len(rho) // 2)[0](rho)
 
 
 def blue_field(amplitude_pi, **overrides):
@@ -508,15 +521,32 @@ class TestRow:
         assert abs(neg.photons_out - pos.photons_out) < 1e-12
         assert np.abs(neg.excited_pop - pos.excited_pop).max() < 1e-12
 
-    def test_failing_cell_is_named_and_fails_alone(self):
-        # a cell whose drive is not finite fails its step control; the
-        # others are integrated as they would be alone
+    @pytest.mark.parametrize(
+        "phonon", [PHONONS_OFF, PhononSpec(), PhononSpec(secular=True)], ids=["phonon-free", "non-secular", "secular"]
+    )
+    def test_failing_cell_is_named_and_fails_alone(self, phonon):
+        # a cell whose drive is not finite fails its step control under
+        # every phonon map; the others are integrated as they would be alone
         cfg = blue_case(amplitude_pi=1.0, phonon_enabled=False, n_field_points=4096)
         system = cfg.system()
         field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
         with pytest.raises(PropagationError, match="step size") as info:
-            propagate(system, field, PHONONS_OFF, amplitudes=(2.0, np.nan, 3.0))
+            propagate(system, field, phonon, amplitudes=(2.0, np.nan, 3.0))
         assert info.value.cell == 1
+
+    @pytest.mark.parametrize("amplitudes", [(4.0,), (1.0, 4.0, 7.0)])
+    def test_secular_map_is_built_once_per_stage(self, amplitudes, monkeypatch):
+        # one build per drive stage for the whole row: two for the initial
+        # step, six per attempt of the row's longest-running cell, one for the tail
+        builds, build = [], dynamics.redfield_dissipator
+        monkeypatch.setattr(dynamics, "redfield_dissipator", lambda *a: builds.append(1) or build(*a))
+        cfg = blue_case(amplitude_pi=1.0, secular=True, tol=1e-6, n_field_points=4096)
+        system = cfg.system()
+        field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
+        row = propagate(system, field, cfg.phonon(), grid=dynamics.ringdown_grid(system, field, 2),
+                        tol=cfg.tol, amplitudes=amplitudes)
+        iterations = max((traj.rhs_calls - 2) // 6 for traj in row.cells)
+        assert len(builds) == 2 + 6 * iterations + 1
 
 
 class TestMirrorSymmetry:

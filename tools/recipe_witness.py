@@ -10,8 +10,11 @@ that has a ``[sweep]`` section, cuts it to the first two axis-1 values, the
 first three axis-2 values and the first two ``amplitude_grid`` points, sets
 ``solver.n_field_points = 4096`` and ``solver.n_traj_points = 600``, and runs
 ``cavex sweep`` on it with CHECKOUT's own sources, one serial process per
-recipe with the BLAS threads pinned to 1.  It writes the values of every
-``map.csv`` to OUT.json as ``{recipe: {"header": [...], "rows": [...]}}``.
+recipe with the BLAS threads pinned to 1.  It writes every cut map to
+OUT.json as ``{recipe: {"header": [...], "rows": [...]}}``, each row the
+cell's axis values from ``map.csv`` and its value at full precision: the
+value that CHECKOUT's ``run_sweep`` computes on the cut recipe, which must
+equal the 9 significant digits of ``map.csv``.
 
 For every recipe reduced to ``PiE`` or ``EtaC``, ``run`` also stores the
 ``exact`` value of ``bench/reference.py`` (an independent integration that
@@ -21,7 +24,8 @@ cell, times ``beta_c`` for an ``EtaC`` map.
 ``compare`` prints, per recipe, the largest |difference| between the map
 values of two such files and the cell where it occurs, then the value of
 each reference cell in both files next to its reference, and last a line
-naming the recipes whose maps are bit-identical (max |diff| = 0).  It exits
+naming the recipes whose maps are bit-identical (every value the same
+float, max |diff| = 0).  It exits
 1 if any reference cell lies farther from its reference in AFTER than in
 BEFORE by more than 1e-9.
 """
@@ -39,6 +43,14 @@ from pathlib import Path
 CUTS = {"axis1_values": 2, "axis2_values": 3, "amplitude_grid": 2}
 SOLVER = {"n_field_points": "4096", "n_traj_points": "600"}
 DRIFT = 1e-9  # how much farther from its reference a cell may move
+
+# run with the checkout's src/ on the path: argv is the cut recipe; prints
+# run_sweep's values on it in row-major order, at full precision
+VALUES = """
+import json, sys
+from cavex import load_config, load_sweep, run_sweep
+print(json.dumps(run_sweep(load_config(sys.argv[1]), load_sweep(sys.argv[1])).values.ravel().tolist()))
+"""
 
 # run with the checkout's src/ and bench/ on the path: argv is the cut
 # recipe and the cell's {axis path: value}; prints the reference map value,
@@ -83,29 +95,33 @@ def run(root, out):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     maps = {}
+
+    def python(what, *argv):
+        done = subprocess.run([sys.executable, *argv], cwd=root, env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            sys.exit(f"{what} exited {done.returncode}\n{done.stderr}")
+        return done.stdout
+
     with tempfile.TemporaryDirectory() as tmp:
         for recipe in sorted((root / "configs").glob("*.ini")):
             ini = Path(tmp) / recipe.name
             if not cut_recipe(recipe, ini):
                 continue
             out_dir = Path(tmp) / recipe.stem
-            cmd = [sys.executable, "-m", "cavex.cli", "sweep", "--config", str(ini),
-                   "--out", str(out_dir), "--format", "csv"]
-            done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
-            if done.returncode != 0:
-                sys.exit(f"{recipe.name}: cavex sweep exited {done.returncode}\n{done.stderr}")
+            python(f"{recipe.name}: cavex sweep", "-m", "cavex.cli", "sweep", "--config", str(ini),
+                   "--out", str(out_dir), "--format", "csv")
             with open(out_dir / "map.csv", encoding="utf-8") as fh:
                 header, *rows = csv.reader(fh)
-            rows = [[float(x) for x in row] for row in rows]
+            values = json.loads(python(f"{recipe.name}: run_sweep", "-c", VALUES, str(ini)))
+            if len(values) != len(rows) or any(f"{v:.8e}" != row[-1] for v, row in zip(values, rows)):
+                sys.exit(f"{recipe.name}: map.csv does not hold run_sweep's values to 9 digits")
+            rows = [[float(x) for x in row[:-1]] + [v] for row, v in zip(rows, values)]
             maps[recipe.stem] = {"header": header, "rows": rows}
             cell = max(rows, key=lambda row: row[-1])[:-1]
-            arg = json.dumps(dict(zip(header, cell)))
-            done = subprocess.run([sys.executable, "-c", REFERENCE, str(ini), arg],
-                                  cwd=root, env=env, capture_output=True, text=True)
-            if done.returncode != 0:
-                sys.exit(f"{recipe.name}: reference exited {done.returncode}\n{done.stderr}")
-            if done.stdout.strip():
-                maps[recipe.stem]["reference"] = {"cell": cell, "value": float(done.stdout)}
+            reference = python(f"{recipe.name}: reference", "-c", REFERENCE, str(ini),
+                               json.dumps(dict(zip(header, cell))))
+            if reference.strip():
+                maps[recipe.stem]["reference"] = {"cell": cell, "value": float(reference)}
             print(f"{recipe.stem}: {len(rows)} cells", file=sys.stderr)
     Path(out).write_text(json.dumps(maps, indent=1) + "\n", encoding="utf-8")
 
