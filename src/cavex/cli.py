@@ -44,9 +44,9 @@ def _write_json(path, payload):
 
 def _trajectory_rows(traj, bloch):
     """The (n, 8) array of TRAJECTORY_HEADER columns; bloch is the trajectory's
-    Bloch series."""
+    Bloch series.  The field columns are the drive the solver integrated."""
     times = traj.grid.times
-    env = traj.field.at(times)
+    env = traj.amplitude * traj.unit_field.at(times)
     return np.column_stack(
         [times * 1e12, traj.excited_pop, traj.photon_number, bloch, env.real, env.imag]
     )

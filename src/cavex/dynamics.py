@@ -15,17 +15,18 @@ Dissipation: kappa D[a] for collection-mode leakage, gamma_bg D[sigma-] for
 background decay, and a time-local Bloch-Redfield dissipator in the
 instantaneous eigenbasis of H(t) with coupling A = sigma+ sigma-.
 
-A ``propagate`` call integrates a row: one field shape and the amplitudes
-that scale it, one cell each (a single cell is a row of one).  It builds one
-Generator (L0, drive superoperators) and, for the non-secular map, one
-RedfieldTable holding Lambda in |Omega| for every cell.  Each drive stage
-has one phonon map for all its cells: the commutator with the table's Lambda,
-or the secular map (``PhononSpec.secular``) of the cells' H.  An in-house
-Dormand-Prince loop (``_dormand_prince``) steps every cell of the row over
+A ``propagate`` call integrates a block of cells on one generator: each
+cell is an amplitude times its field, one shared field or a column of a
+stack of fields (a single cell is a block of one).  It builds one Generator
+(L0, drive superoperators) and, for the non-secular map, one RedfieldTable
+holding Lambda in |Omega| for every cell.  Each drive stage has one phonon
+map for all its cells: the commutator with the table's Lambda, or the
+secular map (``PhononSpec.secular``) of the cells' H.  An in-house
+Dormand-Prince loop (``_dormand_prince``) steps every cell of the block over
 the drive window with its own step control, so a cell's numbers do not
-depend on its row.  The photon count is part of the state, and the
-ring-down tail, whose generator does not depend on the amplitude, is closed
-once for the row.
+depend on its block.  The photon count is part of the state, and the
+ring-down tail, whose generator does not depend on the drive, is closed
+once for the block.
 """
 
 from bisect import bisect_right
@@ -110,7 +111,7 @@ def __getattr__(name):
 
 class PropagationError(ArithmeticError):
     """Integration failed or violated a state invariant; ``cell`` is the index
-    of the failing cell in its row."""
+    of the failing cell in its block."""
 
     def __init__(self, message, cell=0):
         super().__init__(message)
@@ -147,14 +148,14 @@ class Trajectory:
     states: np.ndarray = _dfield(repr=False)  # (n_t, dim, dim)
     photon_number: np.ndarray = _dfield(repr=False)
     excited_pop: np.ndarray = _dfield(repr=False)
-    unit_field: IntracavityField = _dfield(repr=False)  # the row's field, shared by its cells
+    unit_field: IntracavityField = _dfield(repr=False)  # the cell's field at unit amplitude
     amplitude: float  # the cell drives with amplitude * unit_field
     photons_out: float  # kappa * integral of <a^dag a> from grid.t_start to infinity
     rhs_calls: int  # drift evaluations over the drive window: two for the initial step, six per attempt
 
     @property
     def field(self):
-        """The drive it was propagated under, scaled from the row's field on each read."""
+        """The drive it was propagated under, scaled from its unit field on each read."""
         return IntracavityField(self.unit_field.grid, self.amplitude * self.unit_field.envelope)
 
 
@@ -285,7 +286,7 @@ def redfield_dissipator(system, phonon, h_now):
 
 class RedfieldTable:
     """Lambda of the non-secular map, read from a table in r = |Omega| that
-    every cell of a row shares.
+    every cell of a block shares.
 
     N = a^dag a + sigma+ sigma- commutes with h0 and A, and sigma+ raises it by
     one, so H(r e^{i phi}) = U H(r) U^dag with U = e^{i phi N}, and Lambda
@@ -331,13 +332,14 @@ class Row:
     cells: tuple = _dfield(repr=False)  # one Trajectory per cell; its states are a view of these
 
 
-def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=(1.0,)):
-    """Integrate the master equation for a row of cells; return a Row of
+def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=(1.0,), columns=None):
+    """Integrate the master equation for a block of cells; return a Row of
     their Trajectories sampled on grid.
 
     Cell k is driven by amplitudes[k] * field (by default the one cell is
-    driven by field itself), and the cells are integrated together.  A
-    cell's numbers do not depend on the row it is in.
+    driven by field itself) or, given columns, by amplitudes[k] times column
+    columns[k] of the stack field; the cells are integrated together.  A
+    cell's numbers do not depend on the block it is in.
 
     grid (default: ``ringdown_grid``, 600 points) only sets the samples.  RK45
     (``_dormand_prince``) covers the drive window to ``field.grid.t_end`` at
@@ -347,11 +349,12 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
     of the window and every sample, so a two-point grid (a sweep's, which
     keeps only ``photons_out``) is still checked along the whole window.  A
     failure raises a PropagationError whose ``cell`` is the first failing
-    cell of the row.
+    cell of the block.
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol must lie in [1e-12, 1e-4]")
     amps = np.array(amplitudes, dtype=float)
+    cols = None if columns is None else np.asarray(columns, dtype=np.intp)
     gen, dim, d2, n_fock = Generator(system), system.hilbert.dim, system.hilbert.dim ** 2, system.hilbert.n_fock
     rho0 = ground_state(system.hilbert) if rho0 is None else rho0
     grid = ringdown_grid(system, field, 600) if grid is None else grid
@@ -360,8 +363,8 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
     if phonon.enabled and not phonon.secular:
         # a negative amplitude drives -|a| field: its |Omega| is bounded by |a| r_max;
         # a non-finite amplitude fails its own cell and does not size the table
-        bound = np.abs(amps).max(initial=0.0, where=np.isfinite(amps))
-        table = RedfieldTable(system, phonon, gen, bound * field.magnitude_bound())
+        bound = np.abs(amps) * (field.magnitude_bound() if cols is None else field.magnitude_bound()[cols])
+        table = RedfieldTable(system, phonon, gen, bound.max(initial=0.0, where=np.isfinite(amps)))
 
     def stages(omega):
         """Each stage of omega (stages, cells): the weights (1, Omega, Omega*)
@@ -378,7 +381,8 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
 
     def drive(cells, times):
         """The drive of the given cells at times (cells, stages), stage by stage."""
-        return stages(np.conj(amps[cells, None] * field.at(times)).T)
+        unit = field.at(times) if cols is None else field.at(times, cols[cells, None])
+        return stages(np.conj(amps[cells, None] * unit).T)
 
     def drift(y, stage, out=None):
         """dy/dt of each row of y, one cell each, under its stage of the
@@ -445,7 +449,8 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
         if final_min_eig < -1e-6:
             raise PropagationError(f"state eigenvalue {final_min_eig:.2e} below -1e-6", cell=k)
         photon, excited = (np.einsum("tij,ji->t", cell_states, op).real for op in (gen.n_op, gen.pop))
-        cells.append(Trajectory(grid, cell_states, photon, excited, field, float(amps[k]), photons_out[k], nfev[k]))
+        unit = field if cols is None else IntracavityField(field.grid, field.envelope[:, cols[k]])
+        cells.append(Trajectory(grid, cell_states, photon, excited, unit, float(amps[k]), photons_out[k], nfev[k]))
     return Row(states, tuple(cells))
 
 
@@ -465,7 +470,7 @@ def _dormand_prince(drive, drift, y0, t0, t_bound, t_eval, out, diag, rtol, atol
     error norm, the max_step cap and the clip to t_bound.  Every cell keeps
     its own t, step and accept/reject decision, so it takes the steps it
     would take alone.  Only the state arithmetic is shared, and it is
-    written so that a cell's numbers are bit for bit the same in any row:
+    written so that a cell's numbers are bit for bit the same in any block:
     cells lie on the leading axis and meet only in elementwise operations
     and in per-cell matrix products.
 

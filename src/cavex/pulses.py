@@ -117,6 +117,9 @@ def hermite_cubic(samples):
 
 @dataclass(frozen=True)
 class IntracavityField:
+    """A drive envelope on grid, or a stack of them for the solver: envelope of
+    shape (n_points, n_fields), read one column per cell (``at``'s column)."""
+
     grid: TimeGrid
     envelope: np.ndarray = _dfield(repr=False)
 
@@ -132,23 +135,27 @@ class IntracavityField:
         return max(abs(self.envelope[0]), abs(self.envelope[-1])) / peak
 
     def magnitude_bound(self):
-        """An upper bound on |at(t)| over the grid, read off each interval's
-        cubic p: |p| <= max(|p(0)|, |p(1)|) + 4/27 (|p'(0)| + |p'(1)|), as the
-        Hermite weights of the two values are non-negative and sum to one,
-        and those of the slopes stay within 4/27."""
+        """An upper bound on |at(t)| over the grid (an array of one per column
+        for a stack), read off each interval's cubic p: |p| <= max(|p(0)|,
+        |p(1)|) + 4/27 (|p'(0)| + |p'(1)|), as the Hermite weights of the two
+        values are non-negative and sum to one, and those of the slopes stay
+        within 4/27."""
         c = self._cubic
         ends = np.maximum(np.abs(c[:, 0]), np.abs(c.sum(axis=1)))
         slopes = np.abs(c[:, 1]) + np.abs(c[:, 1] + 2.0 * c[:, 2] + 3.0 * c[:, 3])
-        return float((ends + 4.0 / 27.0 * slopes).max())
+        bound = (ends + 4.0 / 27.0 * slopes).max(axis=0)
+        return bound if self.envelope.ndim > 1 else float(bound)
 
     @cached_property
     def _cubic(self):
-        """Row i holds the cubic (c_0, c_1, c_2, c_3) of interval i."""
+        """Row i holds the cubic (c_0, c_1, c_2, c_3) of interval i, of each
+        column of a stack along a last axis: one build for the whole stack."""
         return hermite_cubic(self.envelope)
 
-    def at(self, t):
+    def at(self, t, column=None):
         """Envelope at time t (a scalar or an array) by the C1 cubic Hermite
-        rule of ``hermite_cubic``; zero outside the grid.
+        rule of ``hermite_cubic``; zero outside the grid.  For a stack, column
+        (integers broadcast against t) names the envelope read at each t.
 
         The integrator meets no kink at the samples.  The two intervals at
         each end, where the envelope is below 1e-6 of its peak, are linear.
@@ -158,7 +165,8 @@ class IntracavityField:
         inside = (t > g.t_start) & (t < g.t_end)  # False for NaN as well
         x = np.where(inside, (t - g.t_start) / g.dt, 0.0)
         i = np.minimum(x.astype(np.intp), g.n_points - 2)
-        value = np.matmul((x - i)[..., None, None] ** np.arange(4), self._cubic[i][..., None])
+        cubic = self._cubic[i] if column is None else self._cubic[i, :, column]
+        value = np.matmul((x - i)[..., None, None] ** np.arange(4), cubic[..., None])
         return np.where(inside, value[..., 0, 0], 0.0)[()]
 
 

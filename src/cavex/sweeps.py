@@ -7,16 +7,20 @@ axis paths and reduction and derives the metadata from the spec alone.  The
 figure-class functions (power curves, laser- and cavity-detuning maps,
 mode-splitting maps) only build a SweepSpec for it.
 
-A job is a row: consecutive cells (in row-major order) that differ only in
-``pulse.amplitude_pi``, at most ROW_CELLS of them.  The filtered field is
-linear in the amplitude, so a row builds its field once at unit amplitude
-and ``propagate`` integrates its cells together.  A job keeps only each
-cell's pi_e or eta_c, so it stores no samples: the row is propagated on the
-two ends of its ring-down grid.  Each cell keeps its own steps, so its value
-is bit for bit that of ``run_cell``, whatever row it is in.  Cells are
-deterministic functions of the immutable RunConfig, so the rows may run in
-any order and on any number of workers; results are gathered by cell index,
-making the output independent of scheduling.
+A job is a block: consecutive cells (in row-major order) on one generator,
+at most ROW_CELLS of them.  They share what the generator, the Redfield
+table and the grids read (``_block_key``) and may differ in the drive alone:
+the amplitude, the laser detuning, the excitation mode's detuning, the pulse
+shape and chirp.  The filtered field is linear in the amplitude, so a block
+builds one field at unit amplitude per distinct (pulse, excitation mode),
+and ``propagate`` integrates its cells together, each under its own field.
+A job keeps only each cell's pi_e or eta_c, so it stores no samples: the
+block is propagated on the two ends of its ring-down grid.  Each cell keeps
+its own steps, so its value is bit for bit that of ``run_cell``, whatever
+block it is in.  Cells are deterministic functions of the immutable
+RunConfig, so the blocks may run in any order and on any number of workers;
+results are gathered by cell index, making the output independent of
+scheduling.
 """
 
 import time
@@ -32,19 +36,22 @@ from . import __version__
 from .config import SweepSpec, apply_override
 from .dynamics import propagate, ringdown_grid
 from .observables import beta_collection, figure_of_merit
-from .pulses import intracavity_field_numeric, pulse_area
+from .pulses import IntracavityField, intracavity_field_numeric, pulse_area
 
 FOCK_TOL = 1e-4  # the largest pi_e shift from n_max to n_max + 2 that counts as converged
-# the most cells one job integrates together.  A cell added 2.8 MB to a job's
-# peak when the cap was set (2000 samples of states, Redfield table, scaled
-# field); with no samples, one shared field and one Redfield table per job,
-# fig2c row jobs of 1, 2 and 8 cells holding the 12 pi cell peak at 1.86,
-# 1.86 and 1.88 MB (tracemalloc), mostly the table build on top of the field.
-# The cap was set, and not measured since, on the full fig2c and fig3a
-# recipes (2 workers, 2 vCPU): caps 6 to 13 took the same wall time within
-# the runs' spread, and 8 was the largest cap whose peak RSS stayed within
-# 2 % of the code it replaced; 10 reached +10 % and 13 +18 %.
-ROW_CELLS = 8
+# the most cells one job integrates together.  Full recipes through run_sweep,
+# 2 workers on 2 vCPU, BLAS pinned, wall s (runs of one session; the parent
+# code read fig3a 8.1-11.3 and fig4 114-120 in them): fig3a 8.1-10.5 at a cap
+# of 8, 6.8-8.0 at 16, 5.0-7.3 at 32 and 4.9-5.0 at 64; fig4 102-103 at 8,
+# 70-79 at 16, 51-61 at 32 and 39-45 at 64.  The worker peak RSS on fig4 was
+# 72.7 MB for the parent, 73.6 at 8, 74.4 at 16, 76.0 at 32 and 80.5 at 64.
+# A job's tracemalloc peak grows with its distinct fields (about 1 MB each at
+# 8192 points: envelope, cubic and the cubic build): a fig2c row of 8 or 32
+# cells peaks at 1.88 or 3.22 MB, a fig4 block of 8 on four fields at 4.36 MB,
+# one of 32 on three fields at 4.63 MB and a block of 32 cells on 32 fields
+# at 33.7 MB.  32 takes most of the gain and keeps that worst case at half of
+# 64's.
+ROW_CELLS = 32
 
 
 class SweepCellError(RuntimeError):
@@ -71,52 +78,92 @@ def run_cell(config):
 
 
 def _run_row(configs, n_points=None):
-    """Cells that differ only in pulse.amplitude_pi, simulated together: one
-    field build at unit amplitude and one propagate call, on the ring-down
-    grid of n_points samples (default: the first config's n_traj_points).
-    Returns the (fom, intra-cavity area, traj) of each cell."""
-    unit = replace(configs[0], amplitude_pi=1.0)
-    system = unit.system()
-    field = intracavity_field_numeric(unit.pulse(), unit.excitation_mode(), unit.field_grid())
-    grid = ringdown_grid(system, field, n_points or unit.n_traj_points)
+    """A block of cells with one ``_block_key``, simulated together: one field
+    build at unit amplitude per distinct (pulse, excitation mode) and one
+    propagate call, on the ring-down grid of n_points samples (default: the
+    first config's n_traj_points).  Returns the (fom, intra-cavity area,
+    traj) of each cell, its fom under its own system (beta_c reads the
+    excitation mode).  A field that cannot be built fails the first cell that
+    reads it, once the cells before that one have run: one of them may fail
+    first."""
+    fields, column, columns = [], {}, []  # the distinct fields; (pulse, mode) -> index; each cell's index
+    for k, config in enumerate(configs):
+        unit = replace(config, amplitude_pi=1.0)
+        key = (unit.pulse(), unit.excitation_mode())
+        if key not in column:
+            try:
+                fields.append(intracavity_field_numeric(*key, unit.field_grid()))
+            except ValueError as exc:  # a GridResolutionError
+                if k:
+                    _run_row(configs[:k], n_points)
+                exc.cell = k
+                raise
+            column[key] = len(column)
+        columns.append(column[key])
+    areas = [pulse_area(f) for f in fields]
+    if len(fields) > 1:  # read as one stack, a column each, which replaces them
+        fields = [IntracavityField(fields[0].grid, np.stack([f.envelope for f in fields], axis=1))]
+    first = configs[0]
+    system = first.system()
+    grid = ringdown_grid(system, fields[0], n_points or first.n_traj_points)
     amps = tuple(config.amplitude_pi for config in configs)
-    row = propagate(system, field, unit.phonon(), grid=grid, tol=unit.tol, amplitudes=amps)
-    area = pulse_area(field)
-    return [(figure_of_merit(traj, system), area * traj.amplitude, traj) for traj in row.cells]
+    block = propagate(system, fields[0], first.phonon(), grid=grid, tol=first.tol, amplitudes=amps,
+                      columns=columns if len(column) > 1 else None)
+    return [(figure_of_merit(traj, config.system()), areas[j] * traj.amplitude, traj)
+            for config, j, traj in zip(configs, columns, block.cells)]
 
 
 def _row_values(configs, reduce_kind):
-    """The (value, intra-cavity area) of each cell of a row job: its pi_e
-    or eta_c.  A sweep keeps no samples, so the row is propagated on the
+    """The (value, intra-cavity area) of each cell of a block job: its pi_e
+    or eta_c.  A sweep keeps no samples, so the block is propagated on the
     two ends of its ring-down grid."""
     value = "pi_e" if reduce_kind == "PiE" else "eta_c"
     return tuple((getattr(fom, value), area) for fom, area, _ in _run_row(configs, 2))
 
 
-def _rows(cells):
-    """The jobs: runs of consecutive cells that differ only in the amplitude,
-    each split into near-equal parts of at most ROW_CELLS cells."""
-    runs = []
+def _block_key(config):
+    """What the cells of one job share: the generator's system (the excitation
+    mode's detuning reaches the field and beta_c alone), the phonon map, the
+    tolerance, and the field and output grids."""
+    try:
+        system = replace(config.system(), delta_omega_e=0.0)
+        return system, config.phonon(), config.tol, config.field_grid(), config.n_traj_points
+    except ValueError:  # an invalid spec: the cell is a job of its own, which fails naming it
+        return object()
+
+
+def _rows(cells, jobs=1):
+    """The jobs: runs of consecutive cells with one ``_block_key``, each split
+    into near-equal parts of at most ROW_CELLS cells, and the largest parts
+    split further until there are at least `jobs` of them (or one per cell)."""
+    runs, last = [], None
     for config in cells:
-        if runs and replace(config, amplitude_pi=runs[-1][0].amplitude_pi) == runs[-1][0]:
+        key = _block_key(config)
+        if runs and key == last:
             runs[-1].append(config)
         else:
             runs.append([config])
-    jobs = []
-    for run in runs:
-        parts = -(-len(run) // ROW_CELLS)
-        bounds = [len(run) * i // parts for i in range(parts + 1)]
-        jobs += [tuple(run[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return jobs
+        last = key
+    parts = [-(-len(run) // ROW_CELLS) for run in runs]
+    while sum(parts) < min(jobs, len(cells)):
+        k = max(range(len(runs)), key=lambda k: len(runs[k]) / parts[k])
+        parts[k] += 1
+    out = []
+    for run, n in zip(runs, parts):
+        bounds = [len(run) * i // n for i in range(n + 1)]
+        out += [tuple(run[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return out
 
 
 def run_sweep(config, spec, workers=1):
     """Execute a SweepSpec and return a SweepResult.
 
-    Every job is one row of cells (see the module docstring);
-    ``MaxOverAmplitude`` runs its ``amplitude_grid`` as a last axis of
-    ``EtaC`` cells and keeps the maximum.  The first failed cell in
-    row-major order stops the sweep; a dead worker fails its row's first cell.
+    Every job is one block of cells (see the module docstring); with
+    several workers the sweep is cut into at least two jobs per worker, so
+    the cores stay busy.  ``MaxOverAmplitude`` runs its ``amplitude_grid``
+    as a last axis of ``EtaC`` cells and keeps the maximum.  The first
+    failed cell in row-major order stops the sweep; a dead worker fails its
+    block's first cell.
 
     In a ``cavity_map`` both polarization modes shift together with the
     cavity: setting ``system.delta_omega_c_GHz`` also moves
@@ -124,7 +171,7 @@ def run_sweep(config, spec, workers=1):
 
     The metadata follows the spec: a power curve (one axis,
     ``pulse.amplitude_pi``, reduced to ``PiE``) adds ``beta_c``, ``eta_c``
-    and the intra-cavity area that each cell's row job reports; a
+    and the intra-cavity area that each cell's block job reports; a
     ``detuning_map`` adds the maximum over each row of its first axis.
     """
     axes = spec.axes
@@ -148,25 +195,25 @@ def run_sweep(config, spec, workers=1):
 
     t0 = time.monotonic()
     cell_out = np.full((len(cells), 2), np.nan)  # each cell's (value, intra-cavity area)
-    jobs = _rows(cells)
+    jobs = _rows(cells, 2 * workers if workers > 1 else 1)
     job = partial(_row_values, reduce_kind=reduce_kind)
     # a dead worker breaks the executor: its cells fail, none is respawned
     spawn = get_context("spawn")
     with ProcessPoolExecutor(workers, mp_context=spawn) if workers > 1 else nullcontext() as pool:
         results = pool.map(job, jobs) if pool else map(job, jobs)
         start = 0
-        for row in jobs:
+        for block in jobs:
             try:
-                cell_out[start : start + len(row)] = next(results)
+                cell_out[start : start + len(block)] = next(results)
             except Exception as exc:
-                if pool:  # stop the running rows, cancel those not yet started
+                if pool:  # stop the running blocks, cancel those not yet started
                     for proc in pool._processes.values():
                         proc.terminate()
                     pool.shutdown(cancel_futures=True)
-                # a PropagationError names the failing cell of its row
+                # a PropagationError, or a field that cannot be built, names the failing cell of its block
                 idx = tuple(int(i) for i in np.unravel_index(start + getattr(exc, "cell", 0), shape))
                 raise SweepCellError(f"cell {idx} failed: {exc}") from exc
-            start += len(row)
+            start += len(block)
     values, areas = cell_out.T
     values = values.reshape(shape)
     if spec.reduce == "MaxOverAmplitude":
@@ -246,7 +293,7 @@ def cavity_detuning_map(config, cavity_detunings_GHz, amplitudes_pi, workers=1):
 
 def fock_convergence(config):
     """Re-run one representative cell with n_max + 2; report the pi_e shift.
-    Both cells run as sample-free row jobs: only their pi_e is read."""
+    Both cells run as sample-free jobs: only their pi_e is read."""
     ((pi_e, _),) = _row_values((config,), "PiE")
     ((pi_e_check, _),) = _row_values((apply_override(config, "solver.n_max", config.n_max + 2),), "PiE")
     delta = abs(pi_e_check - pi_e)

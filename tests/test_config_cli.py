@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavex import cli, sweeps
+from cavex import cli, pulses, sweeps
 from cavex.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from cavex.config import (
     ConfigError,
@@ -287,6 +287,16 @@ class TestCliSimulate:
         cfg = write_ini(tmp_path, FAST_INI)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
         assert len(calls) == 1
+
+    def test_field_columns_reuse_the_solver_cubic(self, tmp_path, monkeypatch):
+        # the CSV's field columns are the amplitude times the unit field the
+        # solver read: one cubic build per simulate, the solver's own
+        builds, cubic = [], pulses.hermite_cubic
+        monkeypatch.setattr(pulses, "hermite_cubic", lambda e: builds.append(e.shape) or cubic(e))
+        cfg = write_ini(tmp_path, FAST_INI)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--format", "csv"]) == EXIT_OK
+        assert builds == [(4096,)]
 
     def test_seed_check_deterministic(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, FAST_INI)

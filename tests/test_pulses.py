@@ -281,6 +281,21 @@ class TestInterpolation:
         t = np.linspace(0.0, 1.0, 50 * (len(values) - 1) + 1)
         assert np.abs(field.at(t)).max() <= field.magnitude_bound() * (1.0 + 1e-12)
 
+    def test_a_stack_reads_each_column_as_its_own_field(self):
+        # the solver reads a block's fields as one stack: every value is bit
+        # for bit that of the column alone, and so is each bound to an ulp
+        grid = TimeGrid(0.0, 63.0, 64)
+        rng = np.random.default_rng(5)
+        columns = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
+        stack = IntracavityField(grid, columns)
+        alone = [IntracavityField(grid, columns[:, j].copy()) for j in range(3)]
+        t = rng.uniform(-1.0, 64.0, (5, 6))
+        which = rng.integers(0, 3, (5, 1))
+        got = stack.at(t, which)
+        for row, j in enumerate(which[:, 0]):
+            assert np.array_equal(got[row], alone[j].at(t[row]))
+        np.testing.assert_allclose(stack.magnitude_bound(), [field.magnitude_bound() for field in alone], rtol=1e-15)
+
     def test_error_falls_fourth_order_with_dt(self):
         def sech_field(n):
             grid = TimeGrid(-16.0, 16.0, n)

@@ -74,6 +74,20 @@ class TestPowerSweep:
         power_sweep(blue_case(phonon_enabled=False, **FAST), [0.0, 1.0, 2.0])
         assert len(calls) == jobs
         assert all(pulse.amplitude == np.pi for pulse, _, _ in calls)
+        # a block builds one field per distinct (laser, excitation mode) pair
+        run_row, builds = sweeps._run_row, []
+
+        def counted(configs, *args):
+            before = len(calls)
+            out = run_row(configs, *args)
+            pairs = {(cfg.delta_omega_L_GHz, cfg.delta_omega_e_GHz) for cfg in configs}
+            builds.append((len(calls) - before, len(pairs)))
+            return out
+
+        monkeypatch.setattr(sweeps, "_run_row", counted)
+        modesplit_map(blue_case(phonon_enabled=False, **FAST), [-50.0, 30.0], [60.0, 96.0], [2.0])
+        assert len(builds) == 4 // min(row_cells, 4)
+        assert all(built == pairs for built, pairs in builds) and builds[0][1] == min(row_cells, 4)
 
     @pytest.mark.parametrize("case", [blue_case, red_case])
     def test_intracavity_area_matches_per_amplitude_builds(self, case):
@@ -120,6 +134,35 @@ class TestRows:
             got = sweeps._row_values(row, kind)
             assert got == tuple((getattr(fom, value), area) for fom, area, _ in alone)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(phonon_enabled=False),
+            dict(),
+            dict(secular=True, tol=1e-6),
+        ],
+        ids=["phonon-free", "non-secular", "secular"],
+    )
+    def test_every_cell_of_a_block_equals_its_own_run_cell(self, overrides):
+        # a fig4-like block: two excitation-mode detunings x two laser
+        # detunings x two amplitudes, four fields in one propagate call
+        cfg = blue_case(**FAST, **overrides)
+        block = [
+            apply_override(apply_override(apply_override(cfg, "system.delta_omega_e_GHz", dwe),
+                                          "pulse.delta_omega_L_GHz", dwl), "pulse.amplitude_pi", amp)
+            for dwe in (-50.0, 30.0) for dwl in (60.0, 96.0) for amp in (2.0, 7.0)
+        ]
+        assert sweeps._rows(block) == [tuple(block)]
+        results = sweeps._run_row(block)
+        for (fom, area, traj), cell in zip(results, block):
+            alone_fom, alone_area, alone = run_cell(cell)
+            assert fom == alone_fom  # pi_e, and eta_c under the cell's own beta_c
+            assert traj.rhs_calls == alone.rhs_calls
+            assert area == alone_area
+            np.testing.assert_array_equal(traj.states, alone.states)
+            np.testing.assert_array_equal(traj.field.envelope, alone.field.envelope)
+        assert len({fom.beta_c for fom, _, _ in results}) == 2
+
     def test_row_jobs_propagate_two_samples_and_run_cell_its_n_traj_points(self, monkeypatch):
         propagate, points = sweeps.propagate, []
 
@@ -146,28 +189,50 @@ class TestRows:
         alone = [run_cell(apply_override(cfg, "pulse.amplitude_pi", amp))[0].pi_e for amp in amps]
         assert whole.values.tolist() == alone
 
-    def test_rows_follow_the_amplitude_axis_only(self):
+    def test_jobs_follow_the_generator_inputs(self):
+        # the laser detuning, the excitation mode's detuning, the amplitude
+        # and the chirp reach only the drive: their cells share one job
         cfg = blue_case(**FAST)
+        drive = [
+            apply_override(apply_override(apply_override(cfg, "system.delta_omega_e_GHz", dwe),
+                                          "pulse.delta_omega_L_GHz", dwl), "pulse.amplitude_pi", amp)
+            for dwe in (-50.0, 30.0) for dwl in (80.0, 96.0) for amp in (1.0, 2.0)
+        ]
+        drive[-1] = apply_override(drive[-1], "pulse.chirp_rate_ps2", 0.5)
+        assert sweeps._rows(drive) == [tuple(drive)]
+        # what the generator, the Redfield table or a grid reads starts a new job
+        for path, value in (
+            ("system.delta_omega_c_GHz", 10.0),
+            ("solver.n_max", 4),
+            ("pulse.t_p_ps", 4.4),
+            ("solver.n_field_points", 8192),
+            ("solver.n_traj_points", 2000),
+            ("solver.tol", 1e-7),
+            ("phonon.temperature_K", 10.0),
+            ("phonon.secular", True),
+        ):
+            other = apply_override(cfg, path, value)
+            assert [len(job) for job in sweeps._rows([cfg, cfg, other, other, cfg])] == [2, 2, 1], path
 
-        def cell(dwl, amp):
-            return apply_override(apply_override(cfg, "pulse.delta_omega_L_GHz", dwl), "pulse.amplitude_pi", amp)
-
-        by_detuning = [cell(dwl, amp) for dwl in (80.0, 96.0) for amp in (1.0, 2.0, 3.0)]
-        assert [len(row) for row in sweeps._rows(by_detuning)] == [3, 3]
-        # with the amplitude outermost, consecutive cells differ in the detuning
-        by_amplitude = [cell(dwl, amp) for amp in (1.0, 2.0, 3.0) for dwl in (80.0, 96.0)]
-        assert [len(row) for row in sweeps._rows(by_amplitude)] == [1] * 6
+    def test_a_sweep_has_at_least_the_jobs_asked_for(self):
+        cfg = blue_case(**FAST)
+        cells = [apply_override(cfg, "pulse.amplitude_pi", amp) for amp in range(8)]
+        assert [len(job) for job in sweeps._rows(cells, 4)] == [2, 2, 2, 2]
+        assert [len(job) for job in sweeps._rows(cells[:3], 4)] == [1, 1, 1]
+        # the largest parts are split first: 6 + 2 cells on two generators
+        other = [apply_override(cell, "system.delta_omega_c_GHz", 10.0) for cell in cells[:2]]
+        jobs = sweeps._rows(cells[:6] + other, 4)
+        assert [len(job) for job in jobs] == [2, 2, 2, 2] and jobs[-1] == tuple(other)
 
     def test_failing_cell_inside_a_row_names_its_coordinates(self, monkeypatch):
-        # the second detuning row fails from its 2 pi cell on: the error names
-        # that cell, the first failing one in row-major order
-        propagate, rows = sweeps.propagate, []
+        # both detuning rows are one job; it fails from the second row's 2 pi
+        # cell on: the error names that cell, the first failing one in
+        # row-major order
+        calls = []
 
         def failing(*args, amplitudes, **kwargs):
-            rows.append(amplitudes)
-            if len(rows) == 2:
-                raise PropagationError("trace drift 1e-7 exceeds 1e-8", cell=amplitudes.index(2.0))
-            return propagate(*args, amplitudes=amplitudes, **kwargs)
+            calls.append(amplitudes)
+            raise PropagationError("trace drift 1e-7 exceeds 1e-8", cell=amplitudes.index(2.0, 3))
 
         monkeypatch.setattr(sweeps, "propagate", failing)
         spec = SweepSpec(
@@ -179,7 +244,32 @@ class TestRows:
         )
         with pytest.raises(SweepCellError, match=r"cell \(1, 1\) failed: trace drift"):
             run_sweep(blue_case(phonon_enabled=False, **FAST), spec)
-        assert rows == [(1.0, 2.0, 3.0)] * 2
+        assert calls == [(1.0, 2.0, 3.0, 1.0, 2.0, 3.0)]
+
+    @pytest.mark.parametrize("fails_first", [False, True])
+    def test_field_that_cannot_be_built_fails_its_own_cell(self, monkeypatch, fails_first):
+        # at 1000 GHz the laser is not resolved on the field grid: its first
+        # cell fails, unless a cell before it in the same job fails first
+        if fails_first:
+            def failing(*args, amplitudes, **kwargs):
+                raise PropagationError("trace drift 1e-7 exceeds 1e-8", cell=len(amplitudes) - 1)
+
+            monkeypatch.setattr(sweeps, "propagate", failing)
+        spec = SweepSpec(
+            kind="detuning_map",
+            axis1_path="pulse.delta_omega_L_GHz",
+            axis1_values=(80.0, 1000.0),
+            axis2_path="pulse.amplitude_pi",
+            axis2_values=(1.0, 2.0),
+        )
+        with pytest.raises(SweepCellError, match=r"cell \(0, 1\)" if fails_first else r"cell \(1, 0\)") as info:
+            run_sweep(blue_case(phonon_enabled=False, **FAST), spec)
+        assert isinstance(info.value.__cause__, PropagationError if fails_first else GridResolutionError)
+
+    def test_invalid_spec_fails_its_own_cell(self):
+        spec = SweepSpec(kind="power", axis1_path="phonon.temperature_K", axis1_values=(4.2, -1.0))
+        with pytest.raises(SweepCellError, match=r"cell \(1,\) failed: temperature"):
+            run_sweep(blue_case(phonon_enabled=False, **FAST), spec)
 
     @pytest.mark.parametrize("tol, raises", [(1e-8, True), (1e-6, False)])
     @pytest.mark.usefixtures("leaky_generator")
