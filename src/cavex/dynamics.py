@@ -35,7 +35,6 @@ from math import inf, nextafter, sqrt
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg import expm, lu_factor, lu_solve
 
 from .observables import purcell_rate
 from .phonons import bath_rate
@@ -50,8 +49,8 @@ TABLE_STEP = 5e9
 
 # The Dormand-Prince 5(4) tableau as scipy's RK45 writes it (C, A, B, the
 # error weights E and the dense-output matrix P of Shampine, Math. Comp. 46,
-# 135 (1986)).
-# scipy.integrate is not imported for it: it costs a third of `import cavex`.
+# 135 (1986)).  scipy.integrate is not imported for it: it would double the
+# time of `import cavex`.
 RK_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
 RK_A = np.array([
     [0, 0, 0, 0, 0],
@@ -78,6 +77,35 @@ RK_W[1:6, 1:6], RK_W[6, 1:7], RK_W[7, 1:] = RK_A[1:], RK_B, RK_E
 RK_W[1:7, 0] = 1.0
 STAGE_C = np.append(RK_C[1:], 1.0)
 TOO_SMALL = "integrator failed: required step size is less than spacing between numbers."
+
+
+# b_0 .. b_13 of the [13/13] Pade approximant to e^x, divided by b_0 so that
+# e^0 is the identity exactly, and the 1-norm up to which it meets double
+# precision unscaled (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
+PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+THETA13 = 5.371920351148152
+
+
+def expm(a):
+    """The matrix exponential e^a by scaling and squaring with the [13/13]
+    Pade approximant (Higham 2005): a is scaled by 2^-s into the 1-norm ball
+    of THETA13, and the approximant is squared s times."""
+    norm = np.abs(a).sum(axis=0).max()
+    s = int(np.ceil(np.log2(norm / THETA13))) if THETA13 < norm < inf else 0
+    a = a / 2.0**s
+    b, eye = PADE13, np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def _csr_kernel():
@@ -414,15 +442,17 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
     l_tail = drift(np.eye(d2 + 1, dtype=complex), stages(np.zeros((1, 1)))[0]).T
     l_rho, flux = l_tail[:d2, :d2], l_tail[d2, :d2]
     # L_T rho_ss = 0, Tr rho_ss = 1 and L_T x = rho_ss - rho_T, Tr x = 0: the
-    # rho_00 row is redundant (L_T preserves the trace), so Tr takes its place
-    lu = lu_factor(np.vstack([np.eye(dim).ravel(), l_rho[1:]]))
-    rho_ss = lu_solve(lu, np.eye(d2)[0])
+    # rho_00 row is redundant (L_T preserves the trace), so Tr takes its place.
+    # A singular L_T has no unique steady state: solve raises LinAlgError
+    m_ss = np.vstack([np.eye(dim).ravel(), l_rho[1:]])
+    rho_ss = np.linalg.solve(m_ss, np.eye(d2)[0])
     n_ss = (flux @ rho_ss).real / system.kappa
-    if not abs(n_ss) <= 1e-10:  # NaN too: a singular L_T has no unique steady state
+    if not abs(n_ss) <= 1e-10:  # NaN too
         raise PropagationError(f"steady state holds {n_ss:.2e} photons: no finite yield")
     y[[k for k, failure in enumerate(failures) if failure]] = 0.0  # their tails go unread
-    photons_out = [float(y_k[d2].real + (flux @ lu_solve(lu, np.append(0.0, (rho_ss - y_k[:d2])[1:]))).real)
-                   for y_k in y]
+    rhs = rho_ss - y[:, :d2]
+    rhs[:, 0] = 0.0
+    photons_out = (y[:, d2].real + (flux @ np.linalg.solve(m_ss, rhs.T)).real).tolist()
 
     if n_in < n_t:
         # samples past the window, written in place: the first one is

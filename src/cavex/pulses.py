@@ -20,7 +20,6 @@ from dataclasses import dataclass, field as _dfield
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from .specfun import gauss_2f1_11, sech
 
@@ -105,13 +104,24 @@ def hermite_cubic(samples):
     """
     e = np.asarray(samples)
     coef = np.zeros((len(e) - 1, 4) + e.shape[1:], dtype=np.result_type(e, float))
-    coef[:, 0] = e[:-1]
-    coef[:, 1] = e[1:] - e[:-1]  # linear where no cubic is set below
-    d = (e[:-4] - e[4:] + 8.0 * (e[3:-1] - e[1:-3])) / 12.0  # slopes times dt at 2 .. n-3
+    # built in place, in the operation order of the plain expressions, so the
+    # slopes d are the only array allocated beside coef: columns 1 and 3 serve
+    # as scratch before their own values are written
+    c0, c1, c2, c3 = (coef[:, p] for p in range(4))
+    d = np.subtract(e[:-4], e[4:], dtype=coef.dtype)  # slopes times dt at 2 .. n-3
+    d += np.multiply(np.subtract(e[3:-1], e[1:-3], out=c1[:-3]), 8.0, out=c1[:-3])
+    d /= 12.0
     d0, d1, e0, e1 = d[:-1], d[1:], e[2:-3], e[3:-2]
-    coef[2:-2, 1] = d0
-    coef[2:-2, 2] = 3.0 * (e1 - e0) - 2.0 * d0 - d1
-    coef[2:-2, 3] = 2.0 * (e0 - e1) + d0 + d1
+    c0[...] = e[:-1]
+    np.subtract(e[1:], e[:-1], out=c1)  # linear where no cubic is set below
+    c1, c2, c3 = c1[2:-2], c2[2:-2], c3[2:-2]
+    c1[...] = d0
+    np.multiply(np.subtract(e1, e0, out=c2), 3.0, out=c2)  # 3 (e1 - e0) - 2 d0 - d1
+    c2 -= np.multiply(d0, 2.0, out=c3)
+    c2 -= d1
+    np.multiply(np.subtract(e0, e1, out=c3), 2.0, out=c3)  # 2 (e0 - e1) + d0 + d1
+    c3 += d0
+    c3 += d1
     return coef
 
 
@@ -234,9 +244,9 @@ def intracavity_field_numeric(pulse, mode, grid):
         raise GridResolutionError(f"grid dt={dt:.3e}s does not resolve t_p={pulse.t_p:.3e}s")
     e_in = input_envelope(pulse, t)
     h = cavity_impulse_response(mode, t - t[0])
-    # linear, not circular, convolution: zero-pad to at least 2N - 1 points
-    n = scipy.fft.next_fast_len(2 * len(t) - 1)
-    conv = scipy.fft.ifft(scipy.fft.fft(e_in, n) * scipy.fft.fft(h, n))[: len(t)] * dt
+    # linear, not circular, convolution: zero-pad to the power of two >= 2N - 1
+    n = 1 << (2 * len(t) - 2).bit_length()
+    conv = np.fft.ifft(np.fft.fft(e_in, n) * np.fft.fft(h, n))[: len(t)] * dt
     # trapezoid endpoint correction for the half-weight samples
     conv -= 0.5 * dt * (e_in * h[0] + e_in[0] * h)
     # Euler-Maclaurin end term at the kernel's kink tau = 0, where h' = lam h

@@ -8,7 +8,6 @@ fallback near the poles of Gamma(2-c) at integer c.
 """
 
 import numpy as np
-from scipy.special import gamma as _cgamma
 
 MAX_TERMS = 10_000
 
@@ -94,6 +93,8 @@ def gauss_2f1_11(c, z, w=None):
         import mpmath as mp
 
         return complex(mp.hyp2f1(1, 1, mp.mpc(c), mp.mpf(1) - mp.mpf(w)))
+
+    from scipy.special import gamma as _cgamma
 
     g1 = _cgamma(c) * _cgamma(c - 2) / _cgamma(c - 1) ** 2
     t1 = g1 * _series_11(3 - c, w)

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from cavex import cli, pulses, sweeps
+from cavex import cli, dynamics, pulses, sweeps
 from cavex.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from cavex.config import (
     ConfigError,
@@ -363,6 +364,26 @@ class TestCliErrors:
         )
         assert main(["sweep", "--config", str(recipe), "--out", str(tmp_path / "s")]) == EXIT_VALIDATION
         assert "cell (0,)" in capsys.readouterr().err
+
+    def test_singular_tail_generator_exits_numerical(self, tmp_path, monkeypatch, capsys):
+        # with no L0 the phonon-free ring-down generator is zero and has no
+        # unique steady state: the tail's solve raises LinAlgError, a
+        # numerical failure for simulate and for the sweep cell it fails
+        class Frozen(dynamics.Generator):
+            def __init__(self, system):
+                super().__init__(system)
+                terms, d2 = self.terms.toarray(), system.hilbert.dim ** 2
+                terms[:d2, :d2] = 0.0
+                self.terms = scipy.sparse.csr_array(terms)
+
+        monkeypatch.setattr(dynamics, "Generator", Frozen)
+        body = FAST_INI + "[phonon]\nenabled = false\n"
+        cfg = write_ini(tmp_path, body)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        assert "Singular matrix" in capsys.readouterr().err
+        recipe = write_ini(tmp_path, body + "[sweep]\nkind = power\naxis1_values = 1 2\n", name="recipe.ini")
+        assert main(["sweep", "--config", str(recipe), "--out", str(tmp_path / "s")]) == EXIT_NUMERICAL
+        assert "cell (0,) failed: Singular matrix" in capsys.readouterr().err
 
     def test_non_integral_int_axis_exits_validation(self, tmp_path, capsys):
         recipe = write_ini(

@@ -2,12 +2,13 @@
 
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cavex import dynamics
-from cavex.config import blue_case, red_case
+from cavex.config import apply_override, blue_case, load_config, red_case
 from cavex.dynamics import (
     TABLE_STEP,
     Generator,
@@ -441,6 +442,51 @@ class TestStateInvariants:
             traj = propagate(system, field, cfg.phonon(), grid=grid, tol=tol).cells[0]
             pi_vals.append(traj.photons_out)
         assert abs(pi_vals[0] - pi_vals[1]) < 1e-5
+
+
+def tail_generators(cfg):
+    """L_T times a sweep's tail span (16 lifetimes, a two-point grid) and
+    times the default grid's dt, each as propagate hands it to expm."""
+    system = cfg.system()
+    field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
+    calls, expm = [], dynamics.expm
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "expm", lambda m: calls.append(m) or expm(m))
+        two_point = dynamics.ringdown_grid(system, field, 2)
+        propagate(system, field, cfg.phonon(), grid=two_point, amplitudes=(0.0,))
+        span = calls.pop()
+        propagate(system, field, cfg.phonon(), amplitudes=(0.0,))
+    return span, calls[-1]
+
+
+class TestExpm:
+    FIGS1BLUE = Path(__file__).resolve().parents[1] / "configs" / "figS1blue.ini"
+
+    @pytest.mark.parametrize("n_max", [3, 5])
+    @pytest.mark.parametrize("case", ["blue", "red_nophonon", "figS1blue-25", "figS1blue+25"])
+    def test_matches_scipy_on_the_tail_generators(self, case, n_max):
+        import scipy.linalg
+
+        if case == "blue":
+            cfg = blue_case(n_max=n_max, n_field_points=4096)
+        elif case == "red_nophonon":
+            cfg = red_case(n_max=n_max, phonon_enabled=False, n_field_points=4096)
+        else:
+            cfg = apply_override(load_config(self.FIGS1BLUE), "system.delta_omega_c_GHz", float(case[-3:]))
+            cfg = apply_override(apply_override(cfg, "solver.n_max", n_max), "solver.n_field_points", 4096)
+        # the s squarings of scaling and squaring can grow the Pade result's
+        # rounding error 2^s-fold: s = 0 to 2 at dt (|L_T dt|_1 <= 15) and up to
+        # 11 at the span (|L_T t|_1 up to 8.4e3, figS1blue at n_max 5).
+        # Measured against scipy: at most 1.3e-15 at dt and 1.8e-14 at the span
+        span, step = tail_generators(cfg)
+        for m, bound in ((step, 5e-15), (span, 1e-13)):
+            exact = scipy.linalg.expm(m)
+            assert np.abs(dynamics.expm(m) - exact).max() <= bound * np.abs(exact).max()
+
+    def test_zero_matrix_gives_the_identity(self):
+        # a tail sample at t_w itself must be rho_T, bit for bit
+        for dim in (4, 145):
+            np.testing.assert_array_equal(dynamics.expm(np.zeros((dim, dim), dtype=complex)), np.eye(dim))
 
 
 class TestRingdownTail:
