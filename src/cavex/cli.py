@@ -46,7 +46,7 @@ def _trajectory_rows(traj, bloch):
     """The (n, 8) array of TRAJECTORY_HEADER columns; bloch is the trajectory's
     Bloch series.  The field columns are the drive the solver integrated."""
     times = traj.grid.times
-    env = traj.amplitude * traj.unit_field.at(times)
+    env = traj.amplitude * traj.unit_field.at(times, traj.column)
     return np.column_stack(
         [times * 1e12, traj.excited_pop, traj.photon_number, bloch, env.real, env.imag]
     )

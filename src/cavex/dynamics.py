@@ -16,8 +16,8 @@ background decay, and a time-local Bloch-Redfield dissipator in the
 instantaneous eigenbasis of H(t) with coupling A = sigma+ sigma-.
 
 A ``propagate`` call integrates a block of cells on one generator: each
-cell is an amplitude times its field, one shared field or a column of a
-stack of fields (a single cell is a block of one).  It builds one Generator
+cell is an amplitude times one column of a stack of fields (a single cell is
+a block of one, a single field a stack of one).  It builds one Generator
 (L0, drive superoperators) and, for the non-secular map, one RedfieldTable
 holding Lambda in |Omega| for every cell.  Each drive stage has one phonon
 map for all its cells: the commutator with the table's Lambda, or the
@@ -176,15 +176,11 @@ class Trajectory:
     states: np.ndarray = _dfield(repr=False)  # (n_t, dim, dim)
     photon_number: np.ndarray = _dfield(repr=False)
     excited_pop: np.ndarray = _dfield(repr=False)
-    unit_field: IntracavityField = _dfield(repr=False)  # the cell's field at unit amplitude
-    amplitude: float  # the cell drives with amplitude * unit_field
+    unit_field: IntracavityField = _dfield(repr=False)  # the block's stack of fields at unit amplitude
+    column: int  # the cell's field is this column of unit_field
+    amplitude: float  # the cell drives with amplitude * unit_field.at(t, column)
     photons_out: float  # kappa * integral of <a^dag a> from grid.t_start to infinity
     rhs_calls: int  # drift evaluations over the drive window: two for the initial step, six per attempt
-
-    @property
-    def field(self):
-        """The drive it was propagated under, scaled from its unit field on each read."""
-        return IntracavityField(self.unit_field.grid, self.amplitude * self.unit_field.envelope)
 
 
 def ringdown_grid(system, field, n_points):
@@ -360,14 +356,14 @@ class Row:
     cells: tuple = _dfield(repr=False)  # one Trajectory per cell; its states are a view of these
 
 
-def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=(1.0,), columns=None):
+def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=(1.0,), columns=0):
     """Integrate the master equation for a block of cells; return a Row of
     their Trajectories sampled on grid.
 
-    Cell k is driven by amplitudes[k] * field (by default the one cell is
-    driven by field itself) or, given columns, by amplitudes[k] times column
-    columns[k] of the stack field; the cells are integrated together.  A
-    cell's numbers do not depend on the block it is in.
+    Cell k is driven by amplitudes[k] times column columns[k] of the stack
+    field (columns broadcasts against amplitudes, or raises ValueError; by
+    default every cell reads the first column); the cells are integrated
+    together.  A cell's numbers do not depend on the block it is in.
 
     grid (default: ``ringdown_grid``, 600 points) only sets the samples.  RK45
     (``_dormand_prince``) covers the drive window to ``field.grid.t_end`` at
@@ -382,7 +378,7 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol must lie in [1e-12, 1e-4]")
     amps = np.array(amplitudes, dtype=float)
-    cols = None if columns is None else np.asarray(columns, dtype=np.intp)
+    cols = np.broadcast_to(np.asarray(columns, dtype=np.intp), amps.shape)
     gen, dim, d2, n_fock = Generator(system), system.hilbert.dim, system.hilbert.dim ** 2, system.hilbert.n_fock
     rho0 = ground_state(system.hilbert) if rho0 is None else rho0
     grid = ringdown_grid(system, field, 600) if grid is None else grid
@@ -391,7 +387,7 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
     if phonon.enabled and not phonon.secular:
         # a negative amplitude drives -|a| field: its |Omega| is bounded by |a| r_max;
         # a non-finite amplitude fails its own cell and does not size the table
-        bound = np.abs(amps) * (field.magnitude_bound() if cols is None else field.magnitude_bound()[cols])
+        bound = np.abs(amps) * field.magnitude_bound()[cols]
         table = RedfieldTable(system, phonon, gen, bound.max(initial=0.0, where=np.isfinite(amps)))
 
     def stages(omega):
@@ -409,8 +405,7 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
 
     def drive(cells, times):
         """The drive of the given cells at times (cells, stages), stage by stage."""
-        unit = field.at(times) if cols is None else field.at(times, cols[cells, None])
-        return stages(np.conj(amps[cells, None] * unit).T)
+        return stages(np.conj(amps[cells, None] * field.at(times, cols[cells, None])).T)
 
     def drift(y, stage, out=None):
         """dy/dt of each row of y, one cell each, under its stage of the
@@ -479,8 +474,8 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
         if final_min_eig < -1e-6:
             raise PropagationError(f"state eigenvalue {final_min_eig:.2e} below -1e-6", cell=k)
         photon, excited = (np.einsum("tij,ji->t", cell_states, op).real for op in (gen.n_op, gen.pop))
-        unit = field if cols is None else IntracavityField(field.grid, field.envelope[:, cols[k]])
-        cells.append(Trajectory(grid, cell_states, photon, excited, unit, float(amps[k]), photons_out[k], nfev[k]))
+        cells.append(Trajectory(grid, cell_states, photon, excited, field, int(cols[k]), float(amps[k]),
+                                photons_out[k], nfev[k]))
     return Row(states, tuple(cells))
 
 

@@ -127,8 +127,8 @@ def hermite_cubic(samples):
 
 @dataclass(frozen=True)
 class IntracavityField:
-    """A drive envelope on grid, or a stack of them for the solver: envelope of
-    shape (n_points, n_fields), read one column per cell (``at``'s column)."""
+    """A stack of drive envelopes on grid, of shape (n_points, n_fields), read
+    one column per cell (``at``'s column); a 1-D envelope is a stack of one."""
 
     grid: TimeGrid
     envelope: np.ndarray = _dfield(repr=False)
@@ -136,36 +136,37 @@ class IntracavityField:
     def __post_init__(self):
         if len(self.envelope) != self.grid.n_points:
             raise ValueError("envelope length must match grid")
+        object.__setattr__(self, "envelope", np.reshape(self.envelope, (self.grid.n_points, -1)))
 
     def boundary_leak(self):
-        """Largest boundary magnitude relative to the peak."""
-        peak = np.abs(self.envelope).max()
-        if peak == 0:
-            return 0.0
-        return max(abs(self.envelope[0]), abs(self.envelope[-1])) / peak
+        """Each column's largest boundary magnitude relative to its peak (0 for a zero column)."""
+        mag = np.abs(self.envelope)
+        peak = mag.max(axis=0)
+        return np.divide(np.maximum(mag[0], mag[-1]), peak, out=np.zeros_like(peak), where=peak > 0)
 
     def magnitude_bound(self):
-        """An upper bound on |at(t)| over the grid (an array of one per column
-        for a stack), read off each interval's cubic p: |p| <= max(|p(0)|,
-        |p(1)|) + 4/27 (|p'(0)| + |p'(1)|), as the Hermite weights of the two
-        values are non-negative and sum to one, and those of the slopes stay
-        within 4/27."""
-        c = self._cubic
-        ends = np.maximum(np.abs(c[:, 0]), np.abs(c.sum(axis=1)))
-        slopes = np.abs(c[:, 1]) + np.abs(c[:, 1] + 2.0 * c[:, 2] + 3.0 * c[:, 3])
-        bound = (ends + 4.0 / 27.0 * slopes).max(axis=0)
-        return bound if self.envelope.ndim > 1 else float(bound)
+        """An upper bound on |at(t, column)| over the grid for each column, read
+        off each interval's cubic p: |p| <= max(|p(0)|, |p(1)|) + 4/27 (|p'(0)|
+        + |p'(1)|), as the Hermite weights of the two values are non-negative
+        and sum to one, and those of the slopes stay within 4/27.  One column at
+        a time, so the temporaries are one field's size."""
+        bounds = []
+        for c in np.moveaxis(self._cubic, 2, 0):
+            ends = np.maximum(np.abs(c[:, 0]), np.abs(c.sum(axis=1)))
+            slopes = np.abs(c[:, 1]) + np.abs(c[:, 1] + 2.0 * c[:, 2] + 3.0 * c[:, 3])
+            bounds.append((ends + 4.0 / 27.0 * slopes).max())
+        return np.array(bounds)
 
     @cached_property
     def _cubic(self):
         """Row i holds the cubic (c_0, c_1, c_2, c_3) of interval i, of each
-        column of a stack along a last axis: one build for the whole stack."""
+        column along a last axis: one build for the whole stack."""
         return hermite_cubic(self.envelope)
 
-    def at(self, t, column=None):
+    def at(self, t, column=0):
         """Envelope at time t (a scalar or an array) by the C1 cubic Hermite
-        rule of ``hermite_cubic``; zero outside the grid.  For a stack, column
-        (integers broadcast against t) names the envelope read at each t.
+        rule of ``hermite_cubic``; zero outside the grid.  column (integers
+        broadcast against t) names the envelope of the stack read at each t.
 
         The integrator meets no kink at the samples.  The two intervals at
         each end, where the envelope is below 1e-6 of its peak, are linear.
@@ -175,8 +176,7 @@ class IntracavityField:
         inside = (t > g.t_start) & (t < g.t_end)  # False for NaN as well
         x = np.where(inside, (t - g.t_start) / g.dt, 0.0)
         i = np.minimum(x.astype(np.intp), g.n_points - 2)
-        cubic = self._cubic[i] if column is None else self._cubic[i, :, column]
-        value = np.matmul((x - i)[..., None, None] ** np.arange(4), cubic[..., None])
+        value = np.matmul((x - i)[..., None, None] ** np.arange(4), self._cubic[i, :, column][..., None])
         return np.where(inside, value[..., 0, 0], 0.0)[()]
 
 
@@ -289,8 +289,11 @@ def intracavity_field_analytic(pulse, mode, grid):
 
 
 def pulse_area(field):
-    """Integral of |envelope| over the grid, in units of pi."""
-    return np.trapezoid(np.abs(field.envelope), field.grid.times) / np.pi
+    """Integral of |envelope| over the grid, in units of pi: one per column,
+    each reduced on its own, as a reduction along the stack's first axis sums
+    in another order."""
+    times = field.grid.times
+    return np.array([np.trapezoid(np.abs(column), times) for column in field.envelope.T]) / np.pi
 
 
 def finesse_enhancement(finesse):

@@ -13,7 +13,8 @@ table and the grids read (``_block_key``) and may differ in the drive alone:
 the amplitude, the laser detuning, the excitation mode's detuning, the pulse
 shape and chirp.  The filtered field is linear in the amplitude, so a block
 builds one field at unit amplitude per distinct (pulse, excitation mode),
-and ``propagate`` integrates its cells together, each under its own field.
+stacks them as the columns of one field, and ``propagate`` integrates its
+cells together, each under its own column.
 A job keeps only each cell's pi_e or eta_c, so it stores no samples: the
 block is propagated on the two ends of its ring-down grid.  Each cell keeps
 its own steps, so its value is bit for bit that of ``run_cell``, whatever
@@ -45,12 +46,12 @@ FOCK_TOL = 1e-4  # the largest pi_e shift from n_max to n_max + 2 that counts as
 # of 8, 6.8-8.0 at 16, 5.0-7.3 at 32 and 4.9-5.0 at 64; fig4 102-103 at 8,
 # 70-79 at 16, 51-61 at 32 and 39-45 at 64.  The worker peak RSS on fig4 was
 # 72.7 MB for the parent, 73.6 at 8, 74.4 at 16, 76.0 at 32 and 80.5 at 64.
-# A job's tracemalloc peak grows with its distinct fields (about 1 MB each at
-# 8192 points: envelope, cubic and the cubic build): a fig2c row of 8 or 32
-# cells peaks at 1.88 or 3.22 MB, a fig4 block of 8 on four fields at 4.36 MB,
-# one of 32 on three fields at 4.63 MB and a block of 32 cells on 32 fields
-# at 33.7 MB.  32 takes most of the gain and keeps that worst case at half of
-# 64's.
+# A job's tracemalloc peak grows with its distinct fields (about 0.75 MB each
+# at 8192 points: its column of the stack, of the cubic and of the cubic
+# build): a fig2c row of 8 or 32 cells peaks at 1.56 or 3.08 MB, a fig4 block
+# of 8 on four fields at 3.94 MB, one of 32 on three fields at 4.62 MB and a
+# block of 32 cells on 32 fields at 25.6 MB.  32 takes most of the gain and
+# keeps that worst case at half of 64's.
 ROW_CELLS = 32
 
 
@@ -100,17 +101,16 @@ def _run_row(configs, n_points=None):
                 raise
             column[key] = len(column)
         columns.append(column[key])
-    areas = [pulse_area(f) for f in fields]
-    if len(fields) > 1:  # read as one stack, a column each, which replaces them
-        fields = [IntracavityField(fields[0].grid, np.stack([f.envelope for f in fields], axis=1))]
+    field = IntracavityField(fields[0].grid, np.hstack([f.envelope for f in fields]))
+    fields.clear()  # the stack, a column each, replaces them
+    areas = pulse_area(field)
     first = configs[0]
     system = first.system()
-    grid = ringdown_grid(system, fields[0], n_points or first.n_traj_points)
+    grid = ringdown_grid(system, field, n_points or first.n_traj_points)
     amps = tuple(config.amplitude_pi for config in configs)
-    block = propagate(system, fields[0], first.phonon(), grid=grid, tol=first.tol, amplitudes=amps,
-                      columns=columns if len(column) > 1 else None)
-    return [(figure_of_merit(traj, config.system()), areas[j] * traj.amplitude, traj)
-            for config, j, traj in zip(configs, columns, block.cells)]
+    block = propagate(system, field, first.phonon(), grid=grid, tol=first.tol, amplitudes=amps, columns=columns)
+    return [(figure_of_merit(traj, config.system()), areas[traj.column] * traj.amplitude, traj)
+            for config, traj in zip(configs, block.cells)]
 
 
 def _row_values(configs, reduce_kind):

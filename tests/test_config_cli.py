@@ -297,7 +297,7 @@ class TestCliSimulate:
         cfg = write_ini(tmp_path, FAST_INI)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out), "--format", "csv"]) == EXIT_OK
-        assert builds == [(4096,)]
+        assert builds == [(4096, 1)]
 
     def test_seed_check_deterministic(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, FAST_INI)

@@ -295,10 +295,10 @@ class TestRedfieldTable:
         cfg, field = blue_field(12.0, n_max=n_max)
         system, phonon = cfg.system(), cfg.phonon()
         gen = Generator(system)
-        table = RedfieldTable(system, phonon, gen, field.magnitude_bound())
+        table = RedfieldTable(system, phonon, gen, field.magnitude_bound()[0])
         rng = np.random.default_rng(21)
         for r_nodes, bound in ((rng.integers(0, len(table.cubic) + 1, 10) * TABLE_STEP, 1e-13),
-                               (rng.uniform(0.0, field.magnitude_bound(), 10), 1e-8),
+                               (rng.uniform(0.0, field.magnitude_bound()[0], 10), 1e-8),
                                (rng.uniform(0.0, 10 * TABLE_STEP, 10), 1e-8)):
             for r in r_nodes:
                 omega = r * np.exp(2j * np.pi * rng.uniform())
@@ -316,7 +316,7 @@ class TestRedfieldTable:
         times = np.linspace(*field.grid.times[[peak - 3, peak + 3]], 3001)
         largest = max(abs(field.at(t)) for t in times)
         assert largest > np.abs(field.envelope).max()
-        table = RedfieldTable(system, cfg.phonon(), Generator(system), field.magnitude_bound())
+        table = RedfieldTable(system, cfg.phonon(), Generator(system), field.magnitude_bound()[0])
         assert largest < len(table.cubic) * TABLE_STEP  # the last interior node
 
     def test_one_bath_rate_call_per_cell(self, monkeypatch):
@@ -341,7 +341,7 @@ class TestRedfieldTable:
         # interval a small table holds is the same in a larger one
         cfg, field = blue_field(3.0)
         system, phonon = cfg.system(), cfg.phonon()
-        gen, bound = Generator(system), field.magnitude_bound()
+        gen, bound = Generator(system), field.magnitude_bound()[0]
         small, large = (RedfieldTable(system, phonon, gen, r) for r in (bound, 4.0 * bound))
         assert len(small.cubic) < len(large.cubic)
         rng = np.random.default_rng(8)
@@ -352,7 +352,7 @@ class TestRedfieldTable:
     def test_zero_field_builds_a_valid_table_and_emits_nothing(self):
         cfg, field = blue_field(0.0)
         system, phonon = cfg.system(), cfg.phonon()
-        assert field.magnitude_bound() == 0.0
+        assert field.magnitude_bound()[0] == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no division by zero
             table = RedfieldTable(system, phonon, Generator(system), 0.0)
@@ -519,8 +519,8 @@ class TestRow:
         row = propagate(system, field, PHONONS_OFF, amplitudes=(2.0, 5.0))
         assert row.states.shape == (2, 600, system.hilbert.dim, system.hilbert.dim)
         for amp, traj in zip((2.0, 5.0), row.cells):
-            np.testing.assert_array_equal(traj.field.envelope, amp * field.envelope)
-            alone = propagate(system, traj.field, PHONONS_OFF).cells[0]
+            assert traj.unit_field is field and traj.column == 0 and traj.amplitude == amp
+            alone = propagate(system, IntracavityField(field.grid, amp * field.envelope), PHONONS_OFF).cells[0]
             assert abs(traj.photons_out - alone.photons_out) < 1e-12
             assert np.shares_memory(traj.states, row.states)
 
@@ -555,6 +555,15 @@ class TestRow:
         # without the private kernel the sparse operator runs the same one
         monkeypatch.setattr(dynamics, "CSR_MATVECS", None)
         np.testing.assert_array_equal(gen.apply(y), direct)
+
+    @pytest.mark.parametrize("columns", [[0, 1, 1, 0], [0, 1]])
+    def test_columns_that_do_not_broadcast_against_the_amplitudes_fail_first(self, columns, monkeypatch):
+        # one column per amplitude, or one for all: a list of another length
+        # is refused before any integration, not cut short or read past
+        monkeypatch.setattr(dynamics, "_dormand_prince", lambda *a: pytest.fail("integrated"))
+        field = IntracavityField(TimeGrid(0.0, 1.0, 64), np.ones((64, 2), dtype=complex))
+        with pytest.raises(ValueError, match="broadcast"):
+            propagate(weak_cavity_system(), field, PHONONS_OFF, amplitudes=(1.0, 2.0, 3.0), columns=columns)
 
     def test_negative_amplitude_reads_its_table_inside_its_range(self):
         # -a * field differs from a * field by the U(1) phase e^{i pi N}:
