@@ -29,12 +29,16 @@ ring-down tail, whose generator does not depend on the drive, is closed
 once for the block.
 """
 
+import importlib.util
+import os
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field as _dfield
+from functools import cached_property
+from importlib.machinery import PathFinder
 from math import inf, nextafter, sqrt
 
 import numpy as np
-import scipy.sparse
 
 from .observables import purcell_rate
 from .phonons import bath_rate
@@ -111,14 +115,29 @@ def expm(a):
 def _csr_kernel():
     """scipy's private CSR multi-vector product, or None if this scipy has
     none that takes the arguments scipy 1.17 takes and gets a small product
-    right: it is not public API, and the sparse operator is the fallback."""
+    right: it is not public API, and scipy.sparse's operator is the fallback.
+
+    The extension scipy/sparse/_sparsetools is loaded alone, from its file:
+    ``import scipy.sparse`` would cost about 120 ms more, most of it
+    scipy's array-API layer loading numpy.f2py, numpy.testing and numpy.ma.
+    If scipy.sparse is loaded already, its own extension is used."""
     try:
-        from scipy.sparse._sparsetools import csr_matvecs
+        module = sys.modules.get("scipy.sparse._sparsetools")
+        if module is None:
+            # found in scipy's folder as `import` finds it, without importing scipy
+            folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "sparse")
+            spec = PathFinder.find_spec("scipy.sparse._sparsetools", [folder])
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            # left in sys.modules, it would keep a later `import scipy.sparse`
+            # from binding scipy.sparse._sparsetools; scipy loads its own
+            sys.modules.pop(spec.name, None)
+        csr_matvecs = module.csr_matvecs
 
         out = np.zeros(4, dtype=complex)  # [[1, 0], [0, 2]] @ [[1, 2], [3, 4]]
         csr_matvecs(2, 2, 2, np.array([0, 1, 2], dtype=np.int32), np.array([0, 1], dtype=np.int32),
                     np.array([1.0, 2.0], dtype=complex), np.arange(1.0, 5.0).astype(complex), out)
-    except (ImportError, TypeError, ValueError):  # gone, or called otherwise
+    except (ImportError, AttributeError, TypeError, ValueError):  # gone, or called otherwise
         return None
     return csr_matvecs if out.tolist() == [1, 2, 6, 8] else None
 
@@ -193,7 +212,9 @@ def ringdown_grid(system, field, n_points):
 class Generator:
     """Superoperators on y = [vec(rho), photons], vec(A rho B) = kron(A, B.T)
     vec(rho).  ``terms`` stacks L0 and the parts multiplying Omega and
-    conj(Omega) as a sparse matrix: unpinned BLAS threads the dense product."""
+    conj(Omega) as one dense array of shape (3 (d2 + 1), d2 + 1); ``apply``
+    multiplies by its nonzero entries (``csr``): unpinned BLAS threads the
+    dense product."""
 
     def __init__(self, system):
         space = system.hilbert
@@ -215,7 +236,17 @@ class Generator:
         terms[0, :d2, :d2] = l0
         terms[0, d2, :d2] = system.kappa * self.n_op.T.ravel()  # photons' = kappa <n>
         terms[1:, :d2, :d2] = 0.5 * commutator(self.sp), 0.5 * commutator(sm)
-        self.terms = scipy.sparse.csr_array(terms.reshape(3 * (d2 + 1), d2 + 1))
+        self.terms = terms.reshape(3 * (d2 + 1), d2 + 1)
+
+    @cached_property
+    def csr(self):
+        """``terms`` in compressed sparse rows (indptr, indices, data), taken
+        when ``apply`` first runs, so an edit of ``terms`` before that is
+        applied: nonzero entries in row-major order, int32 indices, which is
+        the canonical form scipy.sparse.csr_array(terms) holds."""
+        rows, cols = np.nonzero(self.terms)
+        indptr = np.searchsorted(rows, np.arange(len(self.terms) + 1)).astype(np.int32)
+        return indptr, cols.astype(np.int32), self.terms[rows, cols]
 
     def hamiltonian(self, omega):
         """H(Omega)/hbar for each Omega of the array omega: shape omega.shape + (dim, dim)."""
@@ -224,19 +255,21 @@ class Generator:
 
     def apply(self, y):
         """The three terms applied to each row of y: shape (rows, 3, d2 + 1),
-        C-contiguous.  scipy's CSR kernel is called directly when it is there
-        (CSR_MATVECS), as the sparse array's operator dispatch costs more than
-        the product at this size; the operator runs the same kernel."""
+        C-contiguous.  scipy's CSR kernel (CSR_MATVECS) multiplies ``csr`` by
+        the rows; without it, scipy.sparse is imported here and its operator
+        runs the same kernel on the same triplet."""
         n_out, n = self.terms.shape
         if y.ndim != 2 or y.shape[1] != n:  # the kernel reads n values per row unchecked
             raise ValueError(f"rows of length {n} expected, got shape {y.shape}")
+        indptr, indices, data = self.csr
         y_t = np.ascontiguousarray(y.T, dtype=complex)
         if CSR_MATVECS is None:
-            out = self.terms @ y_t
+            import scipy.sparse
+
+            out = scipy.sparse.csr_array((data, indices, indptr), shape=self.terms.shape) @ y_t
         else:
             out = np.zeros((n_out, len(y)), dtype=complex)
-            CSR_MATVECS(n_out, n, len(y), self.terms.indptr, self.terms.indices, self.terms.data,
-                        y_t.ravel(), out.ravel())
+            CSR_MATVECS(n_out, n, len(y), indptr, indices, data, y_t.ravel(), out.ravel())
         return np.ascontiguousarray(out.T).reshape(len(y), 3, n)
 
 
@@ -333,6 +366,9 @@ class RedfieldTable:
         self.cubic = hermite_cubic(lam.reshape(len(r), -1))[2:-2]
         n_exc = np.rint(np.diag(gen.n_op + gen.pop).real).astype(int)
         self.exponent = n_exc[:, None] - n_exc[None, :]  # N_j - N_k
+        # the few distinct exponents, and where each entry reads its power
+        self.powers = np.arange(self.exponent.min(), self.exponent.max() + 1)
+        self.gather = self.exponent - self.powers[0]
 
     def lam(self, omega):
         """Lambda(Omega), of shape omega.shape + (dim, dim); non-finite for a non-finite Omega."""
@@ -345,7 +381,8 @@ class RedfieldTable:
         # overflows for a subnormal r; at r = 0 Lambda is real
         safe = np.where(r > 0.0, r, 1.0)
         phase = np.where(r > 0.0, omega.real / safe + 1j * (omega.imag / safe), 1.0)
-        return lam.reshape(r.shape + self.exponent.shape) * phase[..., None, None] ** self.exponent
+        # each distinct power once, gathered: the same floats as phase ** exponent
+        return lam.reshape(r.shape + self.exponent.shape) * (phase[..., None] ** self.powers)[..., self.gather]
 
 
 @dataclass(frozen=True)
@@ -361,9 +398,10 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
     their Trajectories sampled on grid.
 
     Cell k is driven by amplitudes[k] times column columns[k] of the stack
-    field (columns broadcasts against amplitudes, or raises ValueError; by
-    default every cell reads the first column); the cells are integrated
-    together.  A cell's numbers do not depend on the block it is in.
+    field (columns broadcasts against amplitudes and lies in [0, n_fields),
+    or raises ValueError; by default every cell reads the first column); the
+    cells are integrated together.  A cell's numbers do not depend on the
+    block it is in.
 
     grid (default: ``ringdown_grid``, 600 points) only sets the samples.  RK45
     (``_dormand_prince``) covers the drive window to ``field.grid.t_end`` at
@@ -379,6 +417,10 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
         raise ValueError("tol must lie in [1e-12, 1e-4]")
     amps = np.array(amplitudes, dtype=float)
     cols = np.broadcast_to(np.asarray(columns, dtype=np.intp), amps.shape)
+    n_columns = field.envelope.shape[1]
+    outside = cols[(cols < 0) | (cols >= n_columns)]
+    if outside.size:  # a negative one would read a column from the end
+        raise ValueError(f"column {outside[0]} is outside the field's {n_columns} columns")
     gen, dim, d2, n_fock = Generator(system), system.hilbert.dim, system.hilbert.dim ** 2, system.hilbert.n_fock
     rho0 = ground_state(system.hilbert) if rho0 is None else rho0
     grid = ringdown_grid(system, field, 600) if grid is None else grid

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from cavex import dynamics
 from cavex.config import apply_override, blue_case, load_config, red_case
@@ -349,6 +350,28 @@ class TestRedfieldTable:
         for got, want in zip(small.lam(omega), large.lam(omega)):
             assert np.array_equal(got, want)
 
+    def test_gathered_phase_equals_the_power_form(self):
+        # lam takes each distinct power of the U(1) phase once and gathers it;
+        # the oracle is lam with phase ** exponent taken entry by entry
+        cfg, field = blue_field(6.0)
+        system = cfg.system()
+        table = RedfieldTable(system, cfg.phonon(), Generator(system), field.magnitude_bound()[0])
+        rng = np.random.default_rng(22)
+        drawn = rng.uniform(0.0, field.magnitude_bound()[0], (6, 8)) * np.exp(2j * np.pi * rng.uniform(size=(6, 8)))
+        drawn[0, :4] = 0.0, -0.0, 5e-324 - 5e-324j, -1e-310 + 3e-320j  # zero and subnormal
+        drawn[1, :2] = complex(np.nan, 0.0), complex(np.nan, np.nan)
+        for omega in (drawn, drawn[:, :1], drawn[0, 0]):
+            r = np.abs(omega)
+            x = r / TABLE_STEP
+            i = np.fmin(x, len(table.cubic) - 1).astype(np.intp)
+            lam = np.matmul((x - i)[..., None, None] ** np.arange(4), table.cubic[i])
+            safe = np.where(r > 0.0, r, 1.0)
+            phase = np.where(r > 0.0, omega.real / safe + 1j * (omega.imag / safe), 1.0)
+            want = lam.reshape(r.shape + table.exponent.shape) * phase[..., None, None] ** table.exponent
+            got = table.lam(omega)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_zero_field_builds_a_valid_table_and_emits_nothing(self):
         cfg, field = blue_field(0.0)
         system, phonon = cfg.system(), cfg.phonon()
@@ -549,12 +572,35 @@ class TestRow:
         gen = Generator(system)
         y = np.random.default_rng(2).normal(size=(3, system.hilbert.dim ** 2 + 1)) + 0j
         direct = gen.apply(y)
-        np.testing.assert_allclose(direct, (gen.terms @ y.T).T.reshape(3, 3, -1), rtol=1e-14)
+        np.testing.assert_array_equal(direct, (scipy.sparse.csr_array(gen.terms) @ y.T).T.reshape(3, 3, -1))
         with pytest.raises(ValueError, match="rows of length"):
             gen.apply(y[:, :-1])  # the kernel would read past each row
         # without the private kernel the sparse operator runs the same one
         monkeypatch.setattr(dynamics, "CSR_MATVECS", None)
         np.testing.assert_array_equal(gen.apply(y), direct)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [blue_case(), red_case(), blue_case(n_max=5, gamma_bg_GHz=1.0, delta_omega_c_GHz=30.0)],
+        ids=["blue", "red", "n_max5-gamma_bg-dwc"],
+    )
+    def test_csr_triplet_is_scipys_canonical_form(self, cfg):
+        # the kernel reads the bytes scipy.sparse.csr_array(terms) would hold
+        gen = Generator(cfg.system())
+        want = scipy.sparse.csr_array(gen.terms)
+        for got, name in zip(gen.csr, ("indptr", "indices", "data")):
+            assert got.dtype == getattr(want, name).dtype
+            np.testing.assert_array_equal(got, getattr(want, name))
+
+    @pytest.mark.parametrize("columns", [[-1, 1], [0, 2]])
+    def test_a_column_outside_the_stack_fails_first(self, columns, monkeypatch):
+        # a negative column would read one from the end, one past the stack
+        # would fail inside the drive: both are refused before any integration
+        monkeypatch.setattr(dynamics, "_dormand_prince", lambda *a: pytest.fail("integrated"))
+        field = IntracavityField(TimeGrid(0.0, 1.0, 64), np.ones((64, 2), dtype=complex))
+        bad = min(columns) if min(columns) < 0 else max(columns)
+        with pytest.raises(ValueError, match=f"column {bad} is outside the field's 2 columns"):
+            propagate(weak_cavity_system(), field, PHONONS_OFF, amplitudes=(1.0, 2.0), columns=columns)
 
     @pytest.mark.parametrize("columns", [[0, 1, 1, 0], [0, 1]])
     def test_columns_that_do_not_broadcast_against_the_amplitudes_fail_first(self, columns, monkeypatch):

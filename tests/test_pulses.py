@@ -134,15 +134,42 @@ class TestConvolution:
             np.testing.assert_allclose(out, expected, rtol=0, atol=2e-15 * np.abs(out).max())
 
     def test_import_leaves_scipy_signal_unloaded(self):
-        # cavex needs none of these modules: scipy.signal or scipy.integrate
-        # would each double `import cavex` or more, and the other three added
-        # about 40 % to it; the names of any that are loaded are printed
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        code = ("import sys, cavex, cavex.cli; print(*(m for m in ('scipy.signal', 'scipy.integrate', "
-                "'scipy.fft', 'scipy.linalg', 'scipy.special') if m in sys.modules))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == ""
+        # cavex loads no scipy module: scipy.signal or scipy.integrate would
+        # each double `import cavex` or more, scipy.fft, scipy.linalg and
+        # scipy.special added about 40 % to it, and scipy.sparse 120 ms.  The
+        # CSR kernel is loaded alone, and a later `import scipy.sparse` still
+        # binds its own extension; the names of any loaded modules are printed
+        code = "\n".join([
+            "import sys, numpy as np, cavex, cavex.cli",
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            "assert cavex.dynamics.CSR_MATVECS is not None",
+            "import scipy.sparse",
+            "product = scipy.sparse.csr_array(np.diag([1.0, 2.0])) @ np.array([[1.0, 2.0], [3.0, 4.0]])",
+            "assert scipy.sparse._sparsetools.csr_matvecs is not None and product.tolist() == [[1, 2], [6, 8]]",
+        ])
+        assert run_python(code) == ""
+
+    def test_kernel_of_a_loaded_scipy_sparse_is_reused(self):
+        # with scipy.sparse imported first, cavex takes the extension module
+        # scipy bound (a stand-in here, so a second load would show) and
+        # leaves it in sys.modules
+        code = "\n".join([
+            "import sys, types, scipy.sparse",
+            "real = scipy.sparse._sparsetools",
+            "stand_in = types.ModuleType(real.__name__)",
+            "stand_in.csr_matvecs = lambda *args: real.csr_matvecs(*args)",
+            "sys.modules[real.__name__] = stand_in",
+            "import cavex",
+            "print(cavex.dynamics.CSR_MATVECS is stand_in.csr_matvecs, sys.modules.get(real.__name__) is stand_in)",
+        ])
+        assert run_python(code) == "True True"
+
+
+def run_python(code):
+    """Run code in a fresh interpreter with cavex's source on the path; its stripped stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.strip()
 
 
 def compare_routes(pulse, mode, span_factor=16.0, ring=10.0, n_fine=2**17, stride=64):
