@@ -110,6 +110,11 @@ def cmd_bloch(config, mechanism, areas_pi, out_dir, formats):
     system = replace(config, g_GHz=1e-6).system()
     # each area passes the config's checks, finiteness included
     areas = tuple(apply_override(config, "pulse.amplitude_pi", area).amplitude_pi for area in areas_pi)
+    # each area's CSV is named by its {:g} tag: two areas must not share one
+    names = [f"bloch_{mechanism.lower()}_area{area:g}pi.csv" for area in areas]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ConfigError(f"--areas: {areas[names.index(name)]!r} and {areas[k]!r} both write {name}")
     # one row over the areas, driven by the field at unit area
     field = _bloch_field(replace(config, amplitude_pi=1.0), mechanism)
     # stop at the end of the pulse window: the Bloch picture describes the
@@ -117,12 +122,10 @@ def cmd_bloch(config, mechanism, areas_pi, out_dir, formats):
     grid = TimeGrid(field.grid.t_start, field.grid.t_end, config.n_traj_points)
     row = propagate(system, field, config.phonon(), grid=grid, tol=config.tol, amplitudes=areas)
     endpoints = []
-    for area, traj in zip(areas, row.cells):
+    for area, name, traj in zip(areas, names, row.cells):
         bloch = bloch_trajectory(traj, system.hilbert)
-        tag = f"{mechanism.lower()}_area{area:g}pi"
         if "csv" in formats:
-            rows = _trajectory_rows(traj, bloch)
-            _write_csv(out_dir / f"bloch_{tag}.csv", TRAJECTORY_HEADER, rows)
+            _write_csv(out_dir / name, TRAJECTORY_HEADER, _trajectory_rows(traj, bloch))
         endpoints.append(
             {
                 "area_pi": float(area),

@@ -73,6 +73,12 @@ class RunConfig:
             raise ConfigError("pulse.amplitude_pi: must be non-negative")
         if self.kappa_GHz <= 0 or self.g_GHz <= 0:
             raise ConfigError("system.kappa_GHz and system.g_GHz: must be positive")
+        for path in ("phonon.r_e_nm", "phonon.r_h_nm", "phonon.density_kg_m3", "phonon.c_s_m_s"):
+            if getattr(self, path.partition(".")[2]) <= 0:
+                raise ConfigError(f"{path}: must be positive")
+        for path in ("system.gamma_bg_GHz", "phonon.temperature_K", "phonon.coupling_scale"):
+            if getattr(self, path.partition(".")[2]) < 0:
+                raise ConfigError(f"{path}: must be non-negative")
         if not 1e-12 <= self.tol <= 1e-4:
             raise ConfigError("solver.tol: must lie in [1e-12, 1e-4]")
         if self.n_max < 1:

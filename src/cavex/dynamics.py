@@ -19,14 +19,14 @@ A ``propagate`` call integrates a block of cells on one generator: each
 cell is an amplitude times one column of a stack of fields (a single cell is
 a block of one, a single field a stack of one).  It builds one Generator
 (L0, drive superoperators) and, for the non-secular map, one RedfieldTable
-holding Lambda in |Omega| for every cell.  Each drive stage has one phonon
-map for all its cells: the commutator with the table's Lambda, or the
-secular map (``PhononSpec.secular``) of the cells' H.  An in-house
-Dormand-Prince loop (``_dormand_prince``) steps every cell of the block over
-the drive window with its own step control, so a cell's numbers do not
-depend on its block.  The photon count is part of the state, and the
-ring-down tail, whose generator does not depend on the drive, is closed
-once for the block.
+holding Lambda in |Omega| for every cell.  Each drive evaluation builds one
+phonon map per stage, for all its cells: the commutator with the table's
+Lambda, or the secular map (``PhononSpec.secular``) of one eigenbasis of all
+the stages' H.  An in-house Dormand-Prince loop (``_dormand_prince``) steps
+every cell over the drive window with its own step control, so a cell's
+numbers do not depend on its block.  The photon count is part of the state,
+and the ring-down tail, whose generator does not depend on the drive, is
+closed once for the block.
 """
 
 import importlib.util
@@ -74,12 +74,10 @@ RK_P = np.array([
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]], dtype=complex)
 # the tableau as complex matmul operands on [y, k_0, ..., k_6]: the rows of
-# A (stages 1 to 5) and B, each with y's weight 1, then E; an attempt
-# evaluates the drift at t + c h for these c
+# A (stages 1 to 5) and B, each with y's weight 1, then E
 RK_W = np.zeros((8, 8), dtype=complex)
 RK_W[1:6, 1:6], RK_W[6, 1:7], RK_W[7, 1:] = RK_A[1:], RK_B, RK_E
 RK_W[1:7, 0] = 1.0
-STAGE_C = np.append(RK_C[1:], 1.0)
 TOO_SMALL = "integrator failed: required step size is less than spacing between numbers."
 
 
@@ -300,6 +298,24 @@ def _commutator(lam, n_fock):
             for m, m_d in zip(lam, lam.conj().swapaxes(-1, -2).copy())]
 
 
+def _secular(vec, a_eig, gam):
+    """The secular maps, one per vec[k]: population rates W_{m<-n} =
+    gamma(w_nm) |A_mn|^2 between eigenstates, plus decay of eigenbasis
+    coherences at the mean outgoing rate."""
+    w_rates = gam * np.abs(a_eig) ** 2
+    out = w_rates.sum(axis=-2)  # total leaving each eigenstate
+    deph = 0.5 * (out[..., :, None] + out[..., None, :])  # its diagonal is out itself
+    vec_d, diag = vec.conj().swapaxes(-1, -2), np.diag_indices(vec.shape[-1])
+
+    def apply(rho, vec, vec_d, w_rates, deph):
+        r_eig = vec_d @ rho @ vec
+        gain = np.zeros_like(r_eig)
+        gain[(...,) + diag] = (w_rates @ r_eig[(...,) + diag][..., None])[..., 0]
+        return vec @ (gain - deph * r_eig) @ vec_d
+
+    return [lambda rho, m=m: apply(rho, *m) for m in zip(vec, vec_d, w_rates, deph)]
+
+
 def redfield_dissipator(system, phonon, h_now):
     """Action of the phonon dissipator built from the instantaneous eigenbasis.
 
@@ -316,29 +332,13 @@ def redfield_dissipator(system, phonon, h_now):
     care: Lambda = 1/2 sum_ab gamma(e_b - e_a) P_a A P_b depends only on the
     eigenprojectors P_a, and gamma is smooth through zero.  The secular
     variant (``phonon.secular``) keeps only population transfer between
-    eigenstates (rate-equation limit).
+    eigenstates (rate-equation limit).  One entry of the maps ``propagate`` builds.
     """
     if not phonon.enabled:
         return lambda rho: 0.0
     n_fock = system.hilbert.n_fock
-    vec, a_eig, gam = _eigenbasis(phonon, h_now, n_fock)
-    if not phonon.secular:
-        return _commutator(_lambda(vec, a_eig, gam)[None], n_fock)[0]
-
-    # population rates W_{m<-n} = gamma(w_nm) |A_mn|^2, plus decay of
-    # eigenbasis coherences at the mean outgoing rate
-    w_rates = gam * np.abs(a_eig) ** 2
-    out = w_rates.sum(axis=-2)  # total leaving each eigenstate
-    deph = 0.5 * (out[..., :, None] + out[..., None, :])  # its diagonal is out itself
-    vec_d, diag = vec.conj().swapaxes(-1, -2), np.diag_indices(vec.shape[-1])
-
-    def apply_secular(rho):
-        r_eig = vec_d @ rho @ vec
-        gain = np.zeros_like(r_eig)
-        gain[(...,) + diag] = (w_rates @ r_eig[(...,) + diag][..., None])[..., 0]
-        return vec @ (gain - deph * r_eig) @ vec_d
-
-    return apply_secular
+    basis = _eigenbasis(phonon, h_now[None], n_fock)
+    return (_secular(*basis) if phonon.secular else _commutator(_lambda(*basis), n_fock))[0]
 
 
 class RedfieldTable:
@@ -440,7 +440,7 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
         if table is not None:
             maps = _commutator(table.lam(omega), n_fock)
         elif phonon.enabled:
-            maps = [redfield_dissipator(system, phonon, gen.hamiltonian(w)) for w in omega]
+            maps = _secular(*_eigenbasis(phonon, gen.hamiltonian(omega), n_fock))
         else:
             maps = [None] * len(omega)
         return list(zip(weights, maps))
@@ -543,7 +543,9 @@ def _dormand_prince(drive, drift, y0, t0, t_bound, t_eval, out, diag, rtol, atol
 
     drive(cells, times) returns the drive of the given cells at times
     (cells, stages), stage by stage; drift(y, stage) the derivative of each
-    row of y under one stage.  The dense output fills the leading columns of
+    row of y under one stage.  An attempt evaluates the drive at t + c h for
+    the five c of RK_C[1:]: its last drift, at t + h, reuses the fifth stage
+    (first same as last).  The dense output fills the leading columns of
     out[cell, j] at t_eval[j].  The entries y[diag] of a row sum to the
     trace of its state.  Returns the states at t_bound, the RHS evaluations
     of each cell, its largest |trace - 1| over its accepted steps and, per
@@ -559,42 +561,37 @@ def _dormand_prince(drive, drift, y0, t0, t_bound, t_eval, out, diag, rtol, atol
     y = y0
     f = drift(y, drive(cells, np.full((n_cells, 1), t0))[0])
     scale = atol + np.abs(y) * rtol
-    h0 = [min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, interval)
-          for a, b in zip(_rms(y / scale), _rms(f / scale))]
+    d1 = _rms(f / scale)
+    h0 = [min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, interval) for a, b in zip(_rms(y / scale), d1)]
     h0_col = np.array(h0)[:, None]
     f1 = drift(y + h0_col * f, drive(cells, t0 + h0_col)[0])
-    d1, d2 = _rms(f / scale), _rms((f1 - f) / scale)
+    d2 = _rms((f1 - f) / scale)
     h_abs = [min(100 * h, max(1e-6, h * 1e-3) if a <= 1e-15 and b / h <= 1e-15 else (0.01 / max(a, b / h)) ** 0.2,
                  interval, max_step) for h, a, b in zip(h0, d1, d2)]
 
-    # per cell: t, the next attempt's step, whether that attempt starts a
-    # step, whether the step had a rejection, its smallest step, its next sample
-    t, fresh, rejected = [t0] * n_cells, [True] * n_cells, [False] * n_cells
-    min_step, next_sample = [0.0] * n_cells, [0] * n_cells
+    # per cell: t, the next attempt's step (in [min_step, max_step] at t0 and after
+    # an accept), whether the step had a rejection, its smallest step, its next sample
+    t, rejected, next_sample = [t0] * n_cells, [False] * n_cells, [0] * n_cells
+    min_step = [10 * abs(nextafter(t0, inf) - t0)] * n_cells
     abs_y = np.abs(y)
     finished = [c for c, h in enumerate(h_abs) if not h > 0.0]  # NaN: f is not finite
     for c in finished:
         failures[c] = TOO_SMALL
+    h_abs = [min(max(h, min_step[0]), max_step) for h in h_abs]
     while True:
         if finished:  # these cells stop: drop their rows
             y_end[cells[finished]] = y[finished]
             keep = [c for c in range(len(cells)) if c not in finished]
             cells, y, f, abs_y = cells[keep], y[keep], f[keep], abs_y[keep]
-            t, h_abs, fresh, rejected, min_step, next_sample = (
-                [v[c] for c in keep] for v in (t, h_abs, fresh, rejected, min_step, next_sample))
+            t, h_abs, rejected, min_step, next_sample = (
+                [v[c] for c in keep] for v in (t, h_abs, rejected, min_step, next_sample))
         if not len(cells):
             return y_end, nfev, trace_drift, failures
-        t_new = []
-        for c in range(len(cells)):
-            if fresh[c]:
-                min_step[c] = 10 * abs(nextafter(t[c], inf) - t[c])
-                h_abs[c] = min(max(h_abs[c], min_step[c]), max_step)
-                fresh[c] = rejected[c] = False
-            t_new.append(min(t[c] + h_abs[c], t_bound))
-            h_abs[c] = t_new[c] - t[c]
+        t_new = [min(tc + hc, t_bound) for tc, hc in zip(t, h_abs)]
+        h_abs = [tn - tc for tn, tc in zip(t_new, t)]
 
         h, t_old = np.array(h_abs)[:, None], np.array(t)
-        stages = drive(cells, t_old[:, None] + h * STAGE_C)
+        stages = drive(cells, t_old[:, None] + h * RK_C[1:])
         wh = RK_W * h[:, :, None]  # per cell: the tableau times h, y's weight kept at 1
         wh[:, :, 0] = RK_W[:, 0]
         k = np.empty((len(cells), 8, n), dtype=complex)  # y, then the stages k_0 .. k_6
@@ -602,7 +599,7 @@ def _dormand_prince(drive, drift, y0, t0, t_bound, t_eval, out, diag, rtol, atol
         for s in range(1, 6):
             drift(np.matmul(wh[:, s : s + 1, : s + 1], k[:, : s + 1])[:, 0], stages[s - 1], k[:, s + 1 : s + 2])
         y_new = np.matmul(wh[:, 6:7, :7], k[:, :7])[:, 0]
-        drift(y_new, stages[5], k[:, 7:])
+        drift(y_new, stages[4], k[:, 7:])
         abs_new = np.abs(y_new)
         errors = _rms(np.matmul(wh[:, 7:], k)[:, 0] / (atol + np.maximum(abs_y, abs_new) * rtol))
         traces = y_new[:, diag].sum(axis=1).real.tolist()  # read for the accepted rows
@@ -614,13 +611,14 @@ def _dormand_prince(drive, drift, y0, t0, t_bound, t_eval, out, diag, rtol, atol
                 factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
                 h_abs[c] *= min(1, factor) if rejected[c] else factor
                 accepted.append(c)
-                fresh[c] = True
                 trace_drift[cells[c]] = max(trace_drift[cells[c]], abs(traces[c] - 1.0))
                 stop = bisect_right(samples, t_new[c])
                 dense_rows += [c] * (stop - next_sample[c])
                 dense_at += range(next_sample[c], stop)
                 next_sample[c] = stop
-                t[c] = t_new[c]
+                t[c], rejected[c] = t_new[c], False
+                min_step[c] = 10 * abs(nextafter(t[c], inf) - t[c])
+                h_abs[c] = min(max(h_abs[c], min_step[c]), max_step)
                 if t[c] == t_bound:
                     finished.append(c)
             else:

@@ -3,6 +3,12 @@
 import cavex  # noqa: F401
 
 import pytest
+from hypothesis import settings
+
+# property tests draw the same examples on every run and keep no example
+# database, so a run's result does not depend on the runs before it
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 from cavex import dynamics
 

@@ -90,6 +90,13 @@ class TestValidation:
             dict(n_max=0),
             dict(n_traj_points=1),
             dict(n_field_points=1),
+            dict(gamma_bg_GHz=-1.0),
+            dict(r_e_nm=0.0),
+            dict(r_h_nm=-3.6),
+            dict(density_kg_m3=0.0),
+            dict(c_s_m_s=-5110.0),
+            dict(temperature_K=-1.0),
+            dict(coupling_scale=-0.25),
         ],
     )
     def test_bad_field_rejected(self, kwargs):
@@ -399,6 +406,21 @@ class TestCliErrors:
             load_config(cfg)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [("system.gamma_bg_GHz", -1, "non-negative"), ("phonon.r_e_nm", 0, "positive"),
+         ("phonon.r_h_nm", -1, "positive"), ("phonon.density_kg_m3", 0, "positive"),
+         ("phonon.c_s_m_s", -1, "positive"), ("phonon.temperature_K", -1, "non-negative"),
+         ("phonon.coupling_scale", -1, "non-negative")],
+    )
+    def test_value_the_specs_refuse_names_its_key(self, tmp_path, capsys, monkeypatch, key, value, rule):
+        # refused as the config is read, before any field is built
+        monkeypatch.setattr(sweeps, "intracavity_field_numeric", lambda *a: pytest.fail("field built"))
+        section, name = key.split(".")
+        cfg = write_ini(tmp_path, f"[{section}]\n{name} = {value}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert f"error: {key}: must be {rule}" in capsys.readouterr().err
+
     def test_sweep_requires_config(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path)]) == EXIT_VALIDATION
 
@@ -416,6 +438,18 @@ class TestCliErrors:
         out = tmp_path / "b"
         assert main(["bloch", "--config", str(cfg), "--out", str(out), "--areas", "2", area]) == EXIT_VALIDATION
         assert "pulse.amplitude_pi: must be finite" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
+    def test_bloch_areas_sharing_a_file_exit_validation(self, tmp_path, capsys, monkeypatch):
+        # each CSV is named by its area's {:g} tag: the second of two areas
+        # with one tag would overwrite the first's trajectory
+        monkeypatch.setattr(cli, "propagate", lambda *a, **k: pytest.fail("integrated"))
+        cfg = write_ini(tmp_path, FAST_INI)
+        out = tmp_path / "b"
+        argv = ["bloch", "--config", str(cfg), "--mechanism", "Resonant", "--out", str(out),
+                "--areas", "2", "1.0000001", "3", "1.0000004"]
+        assert main(argv) == EXIT_VALIDATION
+        assert "--areas: 1.0000001 and 1.0000004 both write bloch_resonant_area1pi.csv" in capsys.readouterr().err
         assert not list(out.glob("*"))
 
 

@@ -234,16 +234,22 @@ class TestRedfield:
 
     @pytest.mark.parametrize("secular", [False, True])
     def test_stack_equals_each_matrix_alone(self, secular):
-        # propagate builds one map for all the cells of a stage: each
-        # matrix of the stack gets its own map, bit for bit
+        # propagate builds the maps of a (stages, cells) drive stack at once,
+        # one per stage: each is redfield_dissipator's at the stage's drive,
+        # and each matrix of a stack gets its own map, bit for bit
         cfg = blue_case(secular=secular)
-        system, phonon = cfg.system(), cfg.phonon()
+        system, phonon, n_fock = cfg.system(), cfg.phonon(), cfg.system().hilbert.n_fock
         gen, rng = Generator(system), np.random.default_rng(17)
-        omega = rng.uniform(0.0, 400.0 * GHZ, 5) * np.exp(2j * np.pi * rng.uniform(size=5))
-        rho = np.array([random_density_matrix(rng, system.hilbert.dim) for _ in omega])
-        stacked = redfield_dissipator(system, phonon, gen.hamiltonian(omega))(rho)
-        for k, w in enumerate(omega):
-            assert np.array_equal(stacked[k], redfield_dissipator(system, phonon, gen.hamiltonian(w))(rho[k]))
+        omega = rng.uniform(0.0, 400.0 * GHZ, (5, 3)) * np.exp(2j * np.pi * rng.uniform(size=(5, 3)))
+        rho = np.array([random_density_matrix(rng, system.hilbert.dim) for _ in omega[0]])
+        basis = dynamics._eigenbasis(phonon, gen.hamiltonian(omega), n_fock)
+        maps = dynamics._secular(*basis) if secular else dynamics._commutator(dynamics._lambda(*basis), n_fock)
+        assert len(maps) == len(omega)
+        for stage, stage_map in zip(omega, maps):
+            stacked = stage_map(rho)
+            assert np.array_equal(stacked, redfield_dissipator(system, phonon, gen.hamiltonian(stage))(rho))
+            for k, w in enumerate(stage):
+                assert np.array_equal(stacked[k], redfield_dissipator(system, phonon, gen.hamiltonian(w))(rho[k]))
 
     @pytest.mark.parametrize("temperature", [4.2, 0.0])
     def test_continuous_at_degenerate_eigenbasis(self, temperature):
@@ -635,19 +641,42 @@ class TestRow:
             propagate(system, field, phonon, amplitudes=(2.0, np.nan, 3.0))
         assert info.value.cell == 1
 
-    @pytest.mark.parametrize("amplitudes", [(4.0,), (1.0, 4.0, 7.0)])
-    def test_secular_map_is_built_once_per_stage(self, amplitudes, monkeypatch):
-        # one build per drive stage for the whole row: two for the initial
-        # step, six per attempt of the row's longest-running cell, one for the tail
-        builds, build = [], dynamics.redfield_dissipator
-        monkeypatch.setattr(dynamics, "redfield_dissipator", lambda *a: builds.append(1) or build(*a))
-        cfg = blue_case(amplitude_pi=1.0, secular=True, tol=1e-6, n_field_points=4096)
+    @staticmethod
+    def assert_one_build_per_drive_evaluation(monkeypatch, owner, name, secular, amplitudes):
+        """owner.name, spied on in a tol = 1e-6 blue row, is called once per
+        drive evaluation with the row's whole (stages, cells) drive stack:
+        twice for the initial step, once on the five stage times of each
+        attempt (of the cells still running), once for the tail.
+        redfield_dissipator is not called."""
+        shapes, method = [], getattr(owner, name)
+
+        def spy(*args):  # the drive stack is its first array argument
+            shapes.append(next(a for a in args if isinstance(a, np.ndarray)).shape[:2])
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+        monkeypatch.setattr(dynamics, "redfield_dissipator", lambda *a: pytest.fail("built alone"))
+        cfg = blue_case(amplitude_pi=1.0, secular=secular, tol=1e-6, n_field_points=4096)
         system = cfg.system()
         field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
         row = propagate(system, field, cfg.phonon(), grid=dynamics.ringdown_grid(system, field, 2),
                         tol=cfg.tol, amplitudes=amplitudes)
-        iterations = max((traj.rhs_calls - 2) // 6 for traj in row.cells)
-        assert len(builds) == 2 + 6 * iterations + 1
+        attempts = max((traj.rhs_calls - 2) // 6 for traj in row.cells)  # of the longest-running cell
+        n_cells = len(amplitudes)
+        assert len(shapes) == 2 + attempts + 1
+        assert shapes[:2] == [(1, n_cells)] * 2 and shapes[-1] == (1, 1)
+        running = [cells for stages, cells in shapes[2:-1] if stages == 5]
+        assert len(running) == attempts and running[0] == n_cells and running == sorted(running, reverse=True)
+
+    @pytest.mark.parametrize("amplitudes", [(4.0,), (1.0, 4.0, 7.0)])
+    def test_secular_map_is_built_once_per_stage(self, amplitudes, monkeypatch):
+        # one eigenbasis per drive evaluation, for all its stages and cells
+        self.assert_one_build_per_drive_evaluation(monkeypatch, dynamics, "_eigenbasis", True, amplitudes)
+
+    @pytest.mark.parametrize("amplitudes", [(4.0,), (1.0, 4.0, 7.0)])
+    def test_table_is_read_once_per_drive_evaluation(self, amplitudes, monkeypatch):
+        # one Lambda read per drive evaluation, for all its stages and cells
+        self.assert_one_build_per_drive_evaluation(monkeypatch, RedfieldTable, "lam", False, amplitudes)
 
 
 class TestMirrorSymmetry:

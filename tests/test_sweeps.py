@@ -268,8 +268,9 @@ class TestRows:
         assert isinstance(info.value.__cause__, PropagationError if fails_first else GridResolutionError)
 
     def test_invalid_spec_fails_its_own_cell(self):
-        spec = SweepSpec(kind="power", axis1_path="phonon.temperature_K", axis1_values=(4.2, -1.0))
-        with pytest.raises(SweepCellError, match=r"cell \(1,\) failed: temperature"):
+        # the config accepts 1e-320 ps, which underflows to 0 s in the pulse spec
+        spec = SweepSpec(kind="power", axis1_path="pulse.t_p_ps", axis1_values=(3.6, 1e-320))
+        with pytest.raises(SweepCellError, match=r"cell \(1,\) failed: t_p must be positive"):
             run_sweep(blue_case(phonon_enabled=False, **FAST), spec)
 
     @pytest.mark.parametrize("tol, raises", [(1e-8, True), (1e-6, False)])
@@ -483,13 +484,10 @@ class TestDeterminismAndWorkers:
         from cavex.config import ConfigError
 
         cfg = blue_case(**FAST)
-        spec = SweepSpec(
-            kind="power",
-            axis1_path="pulse.amplitude_pi",
-            axis1_values=(-4.0, 2.0),
-        )
-        with pytest.raises(ConfigError, match="amplitude_pi"):
-            run_sweep(cfg, spec)
+        for path, values in (("pulse.amplitude_pi", (-4.0, 2.0)), ("phonon.temperature_K", (4.2, -1.0))):
+            spec = SweepSpec(kind="power", axis1_path=path, axis1_values=values)
+            with pytest.raises(ConfigError, match=path):
+                run_sweep(cfg, spec)
 
 
 class TestDetuningMap:
