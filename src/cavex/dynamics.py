@@ -19,14 +19,15 @@ A ``propagate`` call integrates a block of cells on one generator: each
 cell is an amplitude times one column of a stack of fields (a single cell is
 a block of one, a single field a stack of one).  It builds one Generator
 (L0, drive superoperators) and, for the non-secular map, one RedfieldTable
-holding Lambda in |Omega| for every cell.  Each drive evaluation builds one
-phonon map per stage, for all its cells: the commutator with the table's
-Lambda, or the secular map (``PhononSpec.secular``) of one eigenbasis of all
-the stages' H.  An in-house Dormand-Prince loop (``_dormand_prince``) steps
-every cell over the drive window with its own step control, so a cell's
-numbers do not depend on its block.  The photon count is part of the state,
-and the ring-down tail, whose generator does not depend on the drive, is
-closed once for the block.
+holding Lambda in |Omega| for every cell.  Each drive evaluation writes the
+weights of the generator's terms for all its stages and cells in place, and
+builds the phonon map of all of them at once: the table's Lambda and
+Lambda^dag stacks, or the secular map (``PhononSpec.secular``) of one
+eigenbasis of all the stages' H; the drift reads a stage by its index.  An
+in-house Dormand-Prince loop (``_dormand_prince``) steps every cell over the
+drive window with its own step control, so a cell's numbers do not depend on
+its block.  The photon count is part of the state, and the ring-down tail,
+whose generator does not depend on the drive, is closed once for the block.
 """
 
 import importlib.util
@@ -42,7 +43,7 @@ import numpy as np
 
 from .observables import purcell_rate
 from .phonons import bath_rate
-from .pulses import IntracavityField, TimeGrid, hermite_cubic
+from .pulses import CUBIC_POWERS, IntracavityField, TimeGrid, hermite_cubic
 from .qcore import HilbertSpec, annihilation, ground_state, sigma_minus
 
 
@@ -235,6 +236,7 @@ class Generator:
         terms[0, d2, :d2] = system.kappa * self.n_op.T.ravel()  # photons' = kappa <n>
         terms[1:, :d2, :d2] = 0.5 * commutator(self.sp), 0.5 * commutator(sm)
         self.terms = terms.reshape(3 * (d2 + 1), d2 + 1)
+        self._transposed = None  # apply's buffers for its last number of rows
 
     @cached_property
     def csr(self):
@@ -251,24 +253,41 @@ class Generator:
         omega = np.asarray(omega)[..., None, None]
         return self.h0 + 0.5 * omega * self.sp + 0.5 * np.conj(omega) * self.sm
 
-    def apply(self, y):
+    def apply(self, y, out=None):
         """The three terms applied to each row of y: shape (rows, 3, d2 + 1),
-        C-contiguous.  scipy's CSR kernel (CSR_MATVECS) multiplies ``csr`` by
-        the rows; without it, scipy.sparse is imported here and its operator
-        runs the same kernel on the same triplet."""
+        written to out (C-contiguous, of that shape) if given.  scipy's CSR
+        kernel (CSR_MATVECS) multiplies ``csr`` by the rows: a single row is
+        a column as it lies, and the kernel writes out in place; several rows
+        go through transposed buffers, kept for the next call on as many
+        rows.  Without the kernel, scipy.sparse is imported here and its
+        operator runs the same kernel on the same triplet."""
         n_out, n = self.terms.shape
         if y.ndim != 2 or y.shape[1] != n:  # the kernel reads n values per row unchecked
             raise ValueError(f"rows of length {n} expected, got shape {y.shape}")
+        rows = len(y)
+        if out is None:
+            out = np.empty((rows, 3, n), dtype=complex)
+        elif out.shape != (rows, 3, n) or out.dtype != complex or not out.flags.c_contiguous:  # written unchecked
+            raise ValueError(f"out must be a C-contiguous complex array of shape {(rows, 3, n)}")
         indptr, indices, data = self.csr
-        y_t = np.ascontiguousarray(y.T, dtype=complex)
         if CSR_MATVECS is None:
             import scipy.sparse
 
-            out = scipy.sparse.csr_array((data, indices, indptr), shape=self.terms.shape) @ y_t
+            product = scipy.sparse.csr_array((data, indices, indptr), shape=self.terms.shape)
+            out.reshape(rows, n_out)[...] = (product @ np.ascontiguousarray(y.T, dtype=complex)).T
+        elif rows == 1:
+            out.fill(0.0)  # the kernel adds the product to out
+            CSR_MATVECS(n_out, n, 1, indptr, indices, data, np.ascontiguousarray(y, dtype=complex).reshape(-1),
+                        out.reshape(-1))
         else:
-            out = np.zeros((n_out, len(y)), dtype=complex)
-            CSR_MATVECS(n_out, n, len(y), indptr, indices, data, y_t.ravel(), out.ravel())
-        return np.ascontiguousarray(out.T).reshape(len(y), 3, n)
+            if self._transposed is None or self._transposed[0].shape[1] != rows:
+                self._transposed = np.empty((n, rows), dtype=complex), np.empty((n_out, rows), dtype=complex)
+            y_t, out_t = self._transposed
+            y_t[...] = y.T
+            out_t.fill(0.0)
+            CSR_MATVECS(n_out, n, rows, indptr, indices, data, y_t.reshape(-1), out_t.reshape(-1))
+            out.reshape(rows, n_out)[...] = out_t.T
+        return out
 
 
 def hamiltonian_at(system, field, t):
@@ -290,30 +309,38 @@ def _lambda(vec, a_eig, gam):
     return vec @ (a_eig * (0.5 * gam)) @ vec.conj().swapaxes(-1, -2)
 
 
-def _commutator(lam, n_fock):
-    """The maps rho -> [Lambda rho - rho Lambda^dag, A], one per lam[k]."""
-    a_diag = (np.arange(lam.shape[-1]) >= n_fock).astype(float)
-    sign = a_diag[None, :] - a_diag[:, None]  # [z, A]_ij = z_ij (A_jj - A_ii)
-    return [lambda rho, lam=m, lam_d=m_d: (lam @ rho - rho @ lam_d) * sign
-            for m, m_d in zip(lam, lam.conj().swapaxes(-1, -2).copy())]
+def _coupling_sign(dim, n_fock):
+    """A_jj - A_ii for A = sigma+ sigma-, the projector onto the indices >=
+    n_fock: [z, A]_ij = z_ij (A_jj - A_ii)."""
+    a_diag = (np.arange(dim) >= n_fock).astype(float)
+    return a_diag[None, :] - a_diag[:, None]
+
+
+def _commutator(lam, lam_d, sign, rho):
+    """[Lambda rho - rho Lambda^dag, A] for lam = Lambda and lam_d =
+    Lambda^dag (broadcast against rho), and sign from ``_coupling_sign``."""
+    z = lam @ rho
+    z -= rho @ lam_d
+    z *= sign
+    return z
 
 
 def _secular(vec, a_eig, gam):
-    """The secular maps, one per vec[k]: population rates W_{m<-n} =
-    gamma(w_nm) |A_mn|^2 between eigenstates, plus decay of eigenbasis
-    coherences at the mean outgoing rate."""
+    """The secular map of each stage vec[s], as one function (rho, s):
+    population rates W_{m<-n} = gamma(w_nm) |A_mn|^2 between eigenstates,
+    plus decay of eigenbasis coherences at the mean outgoing rate."""
     w_rates = gam * np.abs(a_eig) ** 2
     out = w_rates.sum(axis=-2)  # total leaving each eigenstate
     deph = 0.5 * (out[..., :, None] + out[..., None, :])  # its diagonal is out itself
     vec_d, diag = vec.conj().swapaxes(-1, -2), np.diag_indices(vec.shape[-1])
 
-    def apply(rho, vec, vec_d, w_rates, deph):
-        r_eig = vec_d @ rho @ vec
+    def apply(rho, s):
+        r_eig = vec_d[s] @ rho @ vec[s]
         gain = np.zeros_like(r_eig)
-        gain[(...,) + diag] = (w_rates @ r_eig[(...,) + diag][..., None])[..., 0]
-        return vec @ (gain - deph * r_eig) @ vec_d
+        gain[(...,) + diag] = (w_rates[s] @ r_eig[(...,) + diag][..., None])[..., 0]
+        return vec[s] @ (gain - deph[s] * r_eig) @ vec_d[s]
 
-    return [lambda rho, m=m: apply(rho, *m) for m in zip(vec, vec_d, w_rates, deph)]
+    return apply
 
 
 def redfield_dissipator(system, phonon, h_now):
@@ -338,7 +365,12 @@ def redfield_dissipator(system, phonon, h_now):
         return lambda rho: 0.0
     n_fock = system.hilbert.n_fock
     basis = _eigenbasis(phonon, h_now[None], n_fock)
-    return (_secular(*basis) if phonon.secular else _commutator(_lambda(*basis), n_fock))[0]
+    if phonon.secular:
+        secular = _secular(*basis)
+        return lambda rho: secular(rho, 0)
+    lam = _lambda(*basis)[0]
+    lam_d, sign = lam.conj().swapaxes(-1, -2).copy(), _coupling_sign(lam.shape[-1], n_fock)
+    return lambda rho: _commutator(lam, lam_d, sign, rho)
 
 
 class RedfieldTable:
@@ -375,12 +407,13 @@ class RedfieldTable:
         r = np.abs(omega)
         x = r / TABLE_STEP
         i = np.fmin(x, len(self.cubic) - 1).astype(np.intp)  # fmin: NaN reads the last interval
-        powers = (x - i)[..., None, None] ** np.arange(4)
+        powers = (x - i)[..., None, None] ** CUBIC_POWERS
         lam = np.matmul(powers, self.cubic[i])
         # the U(1) phase Omega / r, by components: a complex division
         # overflows for a subnormal r; at r = 0 Lambda is real
-        safe = np.where(r > 0.0, r, 1.0)
-        phase = np.where(r > 0.0, omega.real / safe + 1j * (omega.imag / safe), 1.0)
+        positive = r > 0.0
+        safe = np.where(positive, r, 1.0)
+        phase = np.where(positive, omega.real / safe + 1j * (omega.imag / safe), 1.0)
         # each distinct power once, gathered: the same floats as phase ** exponent
         return lam.reshape(r.shape + self.exponent.shape) * (phase[..., None] ** self.powers)[..., self.gather]
 
@@ -412,6 +445,13 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
     keeps only ``photons_out``) is still checked along the whole window.  A
     failure raises a PropagationError whose ``cell`` is the first failing
     cell of the block.
+
+    A drive evaluation reads the field once (``at``) for every running cell
+    at the stage times of one attempt, and writes its weights (1, Omega,
+    Omega*) and phonon map to buffers that are rebuilt only when a cell
+    finishes; the sign mask of the commutator with A is built once per call.
+    The non-secular table covers the largest finite bound |a| r_max of the
+    cells: a cell whose bound overflows fails its own step control.
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol must lie in [1e-12, 1e-4]")
@@ -428,35 +468,54 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
     table = None
     if phonon.enabled and not phonon.secular:
         # a negative amplitude drives -|a| field: its |Omega| is bounded by |a| r_max;
-        # a non-finite amplitude fails its own cell and does not size the table
+        # a cell whose bound is not finite fails its own drive and does not size the table
         bound = np.abs(amps) * field.magnitude_bound()[cols]
-        table = RedfieldTable(system, phonon, gen, bound.max(initial=0.0, where=np.isfinite(amps)))
+        table = RedfieldTable(system, phonon, gen, bound.max(initial=0.0, where=np.isfinite(bound)))
+    sign = _coupling_sign(dim, n_fock)
+
+    # what a drive evaluation fills in place, for drift to read by stage: the
+    # weights (1, Omega, Omega*) of the generator's terms, (stages, cells, 1, 3),
+    # and the phonon map, Lambda and Lambda^dag (stages, cells, dim, dim) or the
+    # secular map's function; the generator's product goes to `applied`
+    weights = applied = lam = lam_d = secular = None
+    running = amp_c = col_c = None  # the cells of the last drive call, with their amplitudes and columns
+
+    def buffers(n_cells, n_rows):
+        nonlocal weights, applied
+        weights = np.ones((len(RK_C) - 1, n_cells, 1, 3), dtype=complex)
+        applied = np.empty((n_rows, 3, d2 + 1), dtype=complex)
 
     def stages(omega):
-        """Each stage of omega (stages, cells): the weights (1, Omega, Omega*)
-        of the three generator terms, and one phonon map for all its cells."""
-        weights = np.ones(omega.shape + (1, 3), dtype=complex)
-        weights[..., 0, 1], weights[..., 0, 2] = omega, np.conj(omega)
+        """Evaluate the drive omega (stages, cells) for drift."""
+        nonlocal lam, lam_d, secular
+        w = weights[: len(omega), :, 0]
+        w[..., 1] = omega
+        np.conjugate(omega, out=w[..., 2])
         if table is not None:
-            maps = _commutator(table.lam(omega), n_fock)
+            lam = table.lam(omega)
+            lam_d = lam.conj().swapaxes(-1, -2).copy()
         elif phonon.enabled:
-            maps = _secular(*_eigenbasis(phonon, gen.hamiltonian(omega), n_fock))
-        else:
-            maps = [None] * len(omega)
-        return list(zip(weights, maps))
+            secular = _secular(*_eigenbasis(phonon, gen.hamiltonian(omega), n_fock))
 
     def drive(cells, times):
-        """The drive of the given cells at times (cells, stages), stage by stage."""
-        return stages(np.conj(amps[cells, None] * field.at(times, cols[cells, None])).T)
+        """Evaluate the drive of the given cells at times (cells, stages)."""
+        nonlocal running, amp_c, col_c
+        if cells is not running:  # the first call, or a cell has finished
+            running, amp_c, col_c = cells, amps[cells, None], cols[cells, None]
+            buffers(len(cells), len(cells))
+        omega = field.at(times, col_c)
+        np.multiply(amp_c, omega, out=omega)
+        stages(np.conjugate(omega, out=omega).T)
 
-    def drift(y, stage, out=None):
-        """dy/dt of each row of y, one cell each, under its stage of the
-        drive, written to out (rows, 1, d2 + 1) if given."""
-        weights, phonon_map = stage
-        # gen.apply is contiguous for any number of rows: matmul's arithmetic follows the layout
-        dy = np.matmul(weights, gen.apply(y), out=out)[:, 0]
-        if phonon_map is not None:
-            dy[:, :d2] += phonon_map(y[:, :d2].reshape(-1, dim, dim)).reshape(-1, d2)
+    def drift(y, s, out=None):
+        """dy/dt of each row of y, one cell each, under stage s of the last
+        drive evaluation, written to out (rows, 1, d2 + 1) if given."""
+        # applied is contiguous for any number of rows: matmul's arithmetic follows the layout
+        dy = np.matmul(weights[s], gen.apply(y, applied), out=out)[:, 0]
+        if lam is not None:
+            dy[:, :d2] += _commutator(lam[s], lam_d[s], sign, y[:, :d2].reshape(-1, dim, dim)).reshape(-1, d2)
+        elif secular is not None:
+            dy[:, :d2] += secular(y[:, :d2].reshape(-1, dim, dim), s).reshape(-1, d2)
         return dy
 
     times = grid.times
@@ -475,8 +534,12 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
         y, nfev, step_drift, failures = _dormand_prince(drive, drift, y, grid.t_start, t_w, times[:n_in], window,
                                                         slice(0, d2, dim + 1), tol, 1e-2 * tol, max_step)
 
-    # the constant tail generator, column by column from the same drift
-    l_tail = drift(np.eye(d2 + 1, dtype=complex), stages(np.zeros((1, 1)))[0]).T
+    # the constant tail generator, column by column from the same drift: one
+    # cell's zero drive, broadcast over the identity's rows
+    buffers(1, d2 + 1)
+    stages(np.zeros((1, 1)))
+    l_tail = drift(np.eye(d2 + 1, dtype=complex), 0).T
+    applied = gen._transposed = None  # the tail's product buffers, not read again: 0.47 MB at n_max = 3
     l_rho, flux = l_tail[:d2, :d2], l_tail[d2, :d2]
     # L_T rho_ss = 0, Tr rho_ss = 1 and L_T x = rho_ss - rho_T, Tr x = 0: the
     # rho_00 row is redundant (L_T preserves the trace), so Tr takes its place.
@@ -524,7 +587,7 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
 def _rms(x):
     """RMS norm of each row of the complex array x, as a list."""
     v = x.view(float)
-    return [sqrt(a / x.shape[1]) for a in (v * v).sum(axis=1).tolist()]
+    return [sqrt(a / x.shape[1]) for a in np.add.reduce(v * v, axis=1).tolist()]
 
 
 def _dormand_prince(drive, drift, y0, t0, t_bound, t_eval, out, diag, rtol, atol, max_step):
@@ -541,15 +604,19 @@ def _dormand_prince(drive, drift, y0, t0, t_bound, t_eval, out, diag, rtol, atol
     cells lie on the leading axis and meet only in elementwise operations
     and in per-cell matrix products.
 
-    drive(cells, times) returns the drive of the given cells at times
-    (cells, stages), stage by stage; drift(y, stage) the derivative of each
-    row of y under one stage.  An attempt evaluates the drive at t + c h for
-    the five c of RK_C[1:]: its last drift, at t + h, reuses the fifth stage
-    (first same as last).  The dense output fills the leading columns of
-    out[cell, j] at t_eval[j].  The entries y[diag] of a row sum to the
-    trace of its state.  Returns the states at t_bound, the RHS evaluations
-    of each cell, its largest |trace - 1| over its accepted steps and, per
-    cell, None or why it failed (its state at t_bound is then meaningless).
+    drive(cells, times) evaluates the drive of the given cells at times
+    (cells, stages), and drift(y, s, out) writes the derivative of each row
+    of y under stage s of the last evaluation to out (rows, 1, n), or
+    returns it without out.  An attempt evaluates the drive once, at t + c h
+    for the five c of RK_C[1:]: its last drift, at t + h, reads the fifth
+    stage again (first same as last).  The stages, the tableau times h and
+    the buffers of the error norm live in one workspace, built when the set
+    of running cells changes; an attempt writes them in place.  The dense
+    output fills the leading columns of out[cell, j] at t_eval[j].  The
+    entries y[diag] of a row sum to the trace of its state.  Returns the
+    states at t_bound, the RHS evaluations of each cell, its largest
+    |trace - 1| over its accepted steps and, per cell, None or why it failed
+    (its state at t_bound is then meaningless).
     """
     n_cells, n = y0.shape
     cells = np.arange(n_cells)  # the original index of each row still running
@@ -559,12 +626,14 @@ def _dormand_prince(drive, drift, y0, t0, t_bound, t_eval, out, diag, rtol, atol
 
     # initial step (Hairer, Norsett and Wanner, Sec. II.4)
     y = y0
-    f = drift(y, drive(cells, np.full((n_cells, 1), t0))[0])
+    drive(cells, np.full((n_cells, 1), t0))
+    f = drift(y, 0)
     scale = atol + np.abs(y) * rtol
     d1 = _rms(f / scale)
     h0 = [min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, interval) for a, b in zip(_rms(y / scale), d1)]
     h0_col = np.array(h0)[:, None]
-    f1 = drift(y + h0_col * f, drive(cells, t0 + h0_col)[0])
+    drive(cells, t0 + h0_col)
+    f1 = drift(y + h0_col * f, 0)
     d2 = _rms((f1 - f) / scale)
     h_abs = [min(100 * h, max(1e-6, h * 1e-3) if a <= 1e-15 and b / h <= 1e-15 else (0.01 / max(a, b / h)) ** 0.2,
                  interval, max_step) for h, a, b in zip(h0, d1, d2)]
@@ -578,40 +647,56 @@ def _dormand_prince(drive, drift, y0, t0, t_bound, t_eval, out, diag, rtol, atol
     for c in finished:
         failures[c] = TOO_SMALL
     h_abs = [min(max(h, min_step[0]), max_step) for h in h_abs]
+    k = None
     while True:
-        if finished:  # these cells stop: drop their rows
-            y_end[cells[finished]] = y[finished]
-            keep = [c for c in range(len(cells)) if c not in finished]
-            cells, y, f, abs_y = cells[keep], y[keep], f[keep], abs_y[keep]
-            t, h_abs, rejected, min_step, next_sample = (
-                [v[c] for c in keep] for v in (t, h_abs, rejected, min_step, next_sample))
-        if not len(cells):
-            return y_end, nfev, trace_drift, failures
+        if finished or k is None:  # the set of running cells changes: a new workspace
+            if finished:  # these cells stop: drop their rows
+                y_end[cells[finished]] = y[finished]
+                keep = [c for c in range(len(cells)) if c not in finished]
+                cells, y, f, abs_y = cells[keep], y[keep], f[keep], abs_y[keep]
+                t, h_abs, rejected, min_step, next_sample = (
+                    [v[c] for c in keep] for v in (t, h_abs, rejected, min_step, next_sample))
+            if not len(cells):
+                return y_end, nfev, trace_drift, failures
+            ids, n_run = cells.tolist(), len(cells)
+            k = np.empty((n_run, 8, n), dtype=complex)  # y, then the stages k_0 .. k_6
+            k[:, 0], k[:, 1] = y, f
+            y, f = k[:, 0], k[:, 1]
+            wh = np.empty((n_run, 8, 8), dtype=complex)  # per cell: the tableau times h, y's weight kept at 1
+            wh[:, :, 0] = RK_W[:, 0]
+            stage, y_new, error = (np.empty((n_run, 1, n), dtype=complex) for _ in range(3))
+            abs_new, scale = np.empty((n_run, n)), np.empty((n_run, n))
+            # stage s + 1 from y and the stages before it, and where its drift goes
+            combos = [(wh[:, s : s + 1, : s + 1], k[:, : s + 1], k[:, s + 1 : s + 2]) for s in range(1, 6)]
+            wh_new, k_new, wh_err, k_last = wh[:, 6:7, :7], k[:, :7], wh[:, 7:], k[:, 7:]
+            stage_row, new_row, error_row = stage[:, 0], y_new[:, 0], error[:, 0]
         t_new = [min(tc + hc, t_bound) for tc, hc in zip(t, h_abs)]
         h_abs = [tn - tc for tn, tc in zip(t_new, t)]
 
         h, t_old = np.array(h_abs)[:, None], np.array(t)
-        stages = drive(cells, t_old[:, None] + h * RK_C[1:])
-        wh = RK_W * h[:, :, None]  # per cell: the tableau times h, y's weight kept at 1
-        wh[:, :, 0] = RK_W[:, 0]
-        k = np.empty((len(cells), 8, n), dtype=complex)  # y, then the stages k_0 .. k_6
-        k[:, 0], k[:, 1] = y, f
-        for s in range(1, 6):
-            drift(np.matmul(wh[:, s : s + 1, : s + 1], k[:, : s + 1])[:, 0], stages[s - 1], k[:, s + 1 : s + 2])
-        y_new = np.matmul(wh[:, 6:7, :7], k[:, :7])[:, 0]
-        drift(y_new, stages[4], k[:, 7:])
-        abs_new = np.abs(y_new)
-        errors = _rms(np.matmul(wh[:, 7:], k)[:, 0] / (atol + np.maximum(abs_y, abs_new) * rtol))
-        traces = y_new[:, diag].sum(axis=1).real.tolist()  # read for the accepted rows
+        drive(cells, t_old[:, None] + h * RK_C[1:])
+        np.multiply(RK_W[:, 1:], h[:, :, None], out=wh[:, :, 1:])
+        for s, (wh_s, k_s, k_out) in enumerate(combos):
+            np.matmul(wh_s, k_s, out=stage)
+            drift(stage_row, s, k_out)
+        np.matmul(wh_new, k_new, out=y_new)
+        drift(new_row, 4, k_last)
+        np.abs(new_row, out=abs_new)
+        np.maximum(abs_y, abs_new, out=scale)
+        scale *= rtol
+        scale += atol
+        np.matmul(wh_err, k, out=error)
+        errors = _rms(np.divide(error_row, scale, out=error_row))
+        traces = np.add.reduce(new_row[:, diag], axis=1).real.tolist()  # read for the accepted rows
 
         accepted, finished, dense_rows, dense_at = [], [], [], []
         for c, err in enumerate(errors):
-            nfev[cells[c]] += 6
+            nfev[ids[c]] += 6
             if err < 1:
                 factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
                 h_abs[c] *= min(1, factor) if rejected[c] else factor
                 accepted.append(c)
-                trace_drift[cells[c]] = max(trace_drift[cells[c]], abs(traces[c] - 1.0))
+                trace_drift[ids[c]] = max(trace_drift[ids[c]], abs(traces[c] - 1.0))
                 stop = bisect_right(samples, t_new[c])
                 dense_rows += [c] * (stop - next_sample[c])
                 dense_at += range(next_sample[c], stop)
@@ -625,7 +710,7 @@ def _dormand_prince(drive, drift, y0, t0, t_bound, t_eval, out, diag, rtol, atol
                 h_abs[c] *= max(0.2, 0.9 * err ** -0.2)
                 rejected[c] = True
                 if h_abs[c] < min_step[c]:
-                    failures[cells[c]] = TOO_SMALL
+                    failures[ids[c]] = TOO_SMALL
                     finished.append(c)
         if dense_rows:
             # RK45's quartic dense output on the accepted steps: y plus the
@@ -635,7 +720,8 @@ def _dormand_prince(drive, drift, y0, t0, t_bound, t_eval, out, diag, rtol, atol
             weights = np.matmul(x[:, None, None] ** np.arange(1, 5), RK_P.T) * h[rows, None]
             dense = y[rows] + np.matmul(weights, k[rows, 1:])[:, 0]
             out[cells[rows], dense_at] = dense[:, : out.shape[2]]
-        if len(accepted) == len(cells):
-            y, f, abs_y = y_new, k[:, 7], abs_new
+        if len(accepted) == n_run:
+            y[...], f[...] = new_row, k[:, 7]
+            abs_y, abs_new = abs_new, abs_y
         else:
-            y[accepted], f[accepted], abs_y[accepted] = y_new[accepted], k[accepted, 7], abs_new[accepted]
+            y[accepted], f[accepted], abs_y[accepted] = new_row[accepted], k[accepted, 7], abs_new[accepted]

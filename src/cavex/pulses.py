@@ -24,6 +24,7 @@ import numpy as np
 from .specfun import gauss_2f1_11, sech
 
 SECH_AMPLITUDE_FWHM = 2.0 * np.arccosh(2.0)  # FWHM of sech(t/tp) in units of tp
+CUBIC_POWERS = np.arange(4)  # f^0 .. f^3 of a cubic in its local coordinate f
 
 
 class FieldShapeError(ValueError):
@@ -176,7 +177,7 @@ class IntracavityField:
         inside = (t > g.t_start) & (t < g.t_end)  # False for NaN as well
         x = np.where(inside, (t - g.t_start) / g.dt, 0.0)
         i = np.minimum(x.astype(np.intp), g.n_points - 2)
-        value = np.matmul((x - i)[..., None, None] ** np.arange(4), self._cubic[i, :, column][..., None])
+        value = np.matmul((x - i)[..., None, None] ** CUBIC_POWERS, self._cubic[i, :, column][..., None])
         return np.where(inside, value[..., 0, 0], 0.0)[()]
 
 

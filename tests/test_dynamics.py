@@ -1,6 +1,8 @@
 """Master-equation propagation: limits with closed-form oracles."""
 
+import gc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -243,10 +245,17 @@ class TestRedfield:
         omega = rng.uniform(0.0, 400.0 * GHZ, (5, 3)) * np.exp(2j * np.pi * rng.uniform(size=(5, 3)))
         rho = np.array([random_density_matrix(rng, system.hilbert.dim) for _ in omega[0]])
         basis = dynamics._eigenbasis(phonon, gen.hamiltonian(omega), n_fock)
-        maps = dynamics._secular(*basis) if secular else dynamics._commutator(dynamics._lambda(*basis), n_fock)
-        assert len(maps) == len(omega)
-        for stage, stage_map in zip(omega, maps):
-            stacked = stage_map(rho)
+        if secular:
+            stage_map = dynamics._secular(*basis)
+        else:
+            lam = dynamics._lambda(*basis)
+            lam_d, sign = lam.conj().swapaxes(-1, -2).copy(), dynamics._coupling_sign(system.hilbert.dim, n_fock)
+
+            def stage_map(rho, s):
+                return dynamics._commutator(lam[s], lam_d[s], sign, rho)
+
+        for s, stage in enumerate(omega):
+            stacked = stage_map(rho, s)
             assert np.array_equal(stacked, redfield_dissipator(system, phonon, gen.hamiltonian(stage))(rho))
             for k, w in enumerate(stage):
                 assert np.array_equal(stacked[k], redfield_dissipator(system, phonon, gen.hamiltonian(w))(rho[k]))
@@ -285,7 +294,9 @@ def random_density_matrix(rng, dim):
 def table_map(table, omega, rho):
     """The table's map at one drive value, through the lookup and the
     commutator that propagate's drift runs."""
-    return dynamics._commutator(table.lam(np.array([omega])), len(rho) // 2)[0](rho)
+    lam = table.lam(np.array([omega]))
+    lam_d, sign = lam.conj().swapaxes(-1, -2).copy(), dynamics._coupling_sign(len(rho), len(rho) // 2)
+    return dynamics._commutator(lam[0], lam_d[0], sign, rho)
 
 
 def blue_field(amplitude_pi, **overrides):
@@ -436,14 +447,15 @@ class TestStateInvariants:
         # the steps see each cell's drift of eps
         eps, w = np.array([1e-6, 1e-4]), 2 * np.pi
 
-        def drive(cells, times):
-            return [(t, eps[cells]) for t in np.asarray(times).T]
+        stages = {}
 
-        def drift(y, stage, out=None):
-            t, eps_c = stage
+        def drive(cells, times):
+            stages["t"], stages["eps"] = np.asarray(times).T, eps[cells]
+
+        def drift(y, s, out=None):
             dy = np.zeros_like(y) if out is None else out[:, 0]
             dy[:] = 0.0
-            dy[:, 0] = eps_c * w * np.cos(w * t)
+            dy[:, 0] = stages["eps"] * w * np.cos(w * stages["t"][s])
             return dy
 
         y0 = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -581,9 +593,20 @@ class TestRow:
         np.testing.assert_array_equal(direct, (scipy.sparse.csr_array(gen.terms) @ y.T).T.reshape(3, 3, -1))
         with pytest.raises(ValueError, match="rows of length"):
             gen.apply(y[:, :-1])  # the kernel would read past each row
+        # into a given array, for one row and for several: the kernel writes
+        # there unchecked, so an array of another size or layout is refused
+        for rows in (y[:1], y):
+            out = np.empty((len(rows), 3, y.shape[1]), dtype=complex)
+            assert gen.apply(rows, out) is out
+            np.testing.assert_array_equal(out, direct[: len(rows)])
+        for bad in (np.empty((2, 3, y.shape[1]), dtype=complex), np.empty((3, 3, y.shape[1])),
+                    np.empty((3, y.shape[1], 3), dtype=complex).swapaxes(1, 2)):
+            with pytest.raises(ValueError, match="C-contiguous complex"):
+                gen.apply(y, bad)
         # without the private kernel the sparse operator runs the same one
         monkeypatch.setattr(dynamics, "CSR_MATVECS", None)
         np.testing.assert_array_equal(gen.apply(y), direct)
+        np.testing.assert_array_equal(gen.apply(y[:1], np.empty((1, 3, y.shape[1]), dtype=complex)), direct[:1])
 
     @pytest.mark.parametrize(
         "cfg",
@@ -633,13 +656,44 @@ class TestRow:
     )
     def test_failing_cell_is_named_and_fails_alone(self, phonon):
         # a cell whose drive is not finite fails its step control under
-        # every phonon map; the others are integrated as they would be alone
+        # every phonon map; the others are integrated as they would be alone.
+        # A finite amplitude whose |Omega| bound overflows does not size the
+        # Redfield table: its drive overflows too, and it fails alone as well
         cfg = blue_case(amplitude_pi=1.0, phonon_enabled=False, n_field_points=4096)
         system = cfg.system()
         field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
-        with pytest.raises(PropagationError, match="step size") as info:
-            propagate(system, field, phonon, amplitudes=(2.0, np.nan, 3.0))
-        assert info.value.cell == 1
+        for amplitudes, cell in (((2.0, np.nan, 3.0), 1), ((2.0, 3.0, 1e300), 2)):
+            with warnings.catch_warnings():
+                if np.isfinite(amplitudes[cell]):  # the overflowing drive's arithmetic warns
+                    warnings.filterwarnings("ignore", "(overflow|invalid value) encountered", RuntimeWarning)
+                with pytest.raises(PropagationError, match="step size") as info:
+                    propagate(system, field, phonon, amplitudes=amplitudes)
+            assert info.value.cell == cell
+
+    def test_the_table_goes_with_its_block(self, monkeypatch):
+        # propagate's drive and drift make no reference cycle: the Redfield
+        # table, which holds the drive, is freed as the block's result is
+        # dropped, without the cyclic garbage collector
+        tables = []
+
+        class Recorded(RedfieldTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(weakref.ref(self))
+
+        monkeypatch.setattr(dynamics, "RedfieldTable", Recorded)
+        cfg = blue_case(tol=1e-6, n_field_points=4096)
+        system = cfg.system()
+        field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
+        gc.collect()
+        gc.disable()
+        try:
+            row = propagate(system, field, cfg.phonon(), grid=dynamics.ringdown_grid(system, field, 2),
+                            tol=cfg.tol, amplitudes=(1.0, 4.0, 7.0))
+            del row
+            assert len(tables) == 1 and tables[0]() is None
+        finally:
+            gc.enable()
 
     @staticmethod
     def assert_one_build_per_drive_evaluation(monkeypatch, owner, name, secular, amplitudes):

@@ -13,11 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavex import dynamics, sweeps
 from cavex.config import ConfigError, SweepSpec, apply_override, blue_case, load_config, red_case
 from cavex.dynamics import PropagationError
-from cavex.pulses import GridResolutionError, intracavity_field_numeric, pulse_area
+from cavex.pulses import GridResolutionError, IntracavityField, intracavity_field_numeric, pulse_area
 from cavex.sweeps import (
     SweepCellError,
     SweepResult,
@@ -163,6 +165,59 @@ class TestRows:
             assert traj.amplitude == alone.amplitude
             np.testing.assert_array_equal(traj.unit_field.envelope[:, traj.column], alone.unit_field.envelope[:, 0])
         assert len({fom.beta_c for fom, _, _ in results}) == 2
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(  # on the recipes' steps
+                st.integers(-48, 48).map(lambda q: q / 4),  # amplitude_pi in [-12, 12], of either sign
+                st.integers(-24, 24).map(lambda q: 5.0 * q),  # delta_omega_L_GHz
+                st.integers(-20, 20).map(lambda q: 5.0 * q),  # delta_omega_e_GHz
+                st.integers(-5, 5).map(lambda q: q / 10),  # chirp_rate_ps2, read by a chirped block only
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        chirped=st.booleans(),
+    )
+    def test_every_cell_of_a_random_block_equals_its_own_block_of_one(self, cells, chirped):
+        # the law a block rests on, under all three phonon maps: the cells,
+        # drawn in a random order, are propagated as one block of their
+        # stacked unit fields, and each one's photons_out, rhs_calls and
+        # states are its own _run_row((config,), 2) bit for bit.  No config
+        # holds a negative amplitude, so such a cell's block of one is
+        # propagated the same way at that amplitude
+        shape = dict(pulse_shape="ChirpedGaussian") if chirped else dict(pulse_shape="Sech")
+        for overrides in (dict(phonon_enabled=False), dict(), dict(secular=True)):
+            configs = [
+                blue_case(amplitude_pi=abs(amp), delta_omega_L_GHz=dwl, delta_omega_e_GHz=dwe,
+                          chirp_rate_ps2=chirp if chirped else 0.0, tol=1e-6, n_field_points=4096,
+                          **shape, **overrides)
+                for amp, dwl, dwe, chirp in cells
+            ]
+            amplitudes = [amp for amp, _, _, _ in cells]
+            block = self.signed_block(configs, amplitudes)
+            for config, amp, traj in zip(configs, amplitudes, block):
+                if np.copysign(1.0, amp) > 0:
+                    alone = sweeps._run_row((config,), 2)[0][2]
+                else:
+                    alone = self.signed_block([config], [amp])[0]
+                assert traj.photons_out == alone.photons_out
+                assert traj.rhs_calls == alone.rhs_calls
+                assert traj.states.tobytes() == alone.states.tobytes()
+
+    @staticmethod
+    def signed_block(configs, amplitudes):
+        """The cells of configs driven by the given amplitudes, of either
+        sign, in one propagate call as _run_row makes it: each cell's unit
+        field a column of the stack, on the two ends of the ring-down grid."""
+        fields = [intracavity_field_numeric(c.pulse(), c.excitation_mode(), c.field_grid())
+                  for c in (replace(config, amplitude_pi=1.0) for config in configs)]
+        stack = IntracavityField(fields[0].grid, np.hstack([f.envelope for f in fields]))
+        first = configs[0]
+        system = first.system()
+        return sweeps.propagate(system, stack, first.phonon(), grid=dynamics.ringdown_grid(system, stack, 2),
+                                tol=first.tol, amplitudes=amplitudes, columns=range(len(configs))).cells
 
     def test_row_jobs_propagate_two_samples_and_run_cell_its_n_traj_points(self, monkeypatch):
         propagate, points = sweeps.propagate, []
