@@ -15,19 +15,21 @@ Dissipation: kappa D[a] for collection-mode leakage, gamma_bg D[sigma-] for
 background decay, and a time-local Bloch-Redfield dissipator in the
 instantaneous eigenbasis of H(t) with coupling A = sigma+ sigma-.
 
-A ``propagate`` call integrates a block of cells on one generator: each
-cell is an amplitude times one column of a stack of fields (a single cell is
-a block of one, a single field a stack of one).  It builds one Generator
-(L0, drive superoperators) and, for the non-secular map, one RedfieldTable
-holding Lambda in |Omega| for every cell.  Each drive evaluation writes the
-weights of the generator's terms for all its stages and cells in place, and
-builds the phonon map of all of them at once: the table's Lambda and
-Lambda^dag stacks, or the secular map (``PhononSpec.secular``) of one
-eigenbasis of all the stages' H; the drift reads a stage by its index.  An
-in-house Dormand-Prince loop (``_dormand_prince``) steps every cell over the
-drive window with its own step control, so a cell's numbers do not depend on
-its block.  The photon count is part of the state, and the ring-down tail,
-whose generator does not depend on the drive, is closed once for the block.
+A ``propagate`` call integrates a block of cells on one Hilbert space: each
+cell is an amplitude times one column of a stack of fields, under its own
+system (a single cell is a block of one, a single field a stack of one).  It
+builds one Generator (L0, drive superoperators) per distinct system and, for
+the non-secular map, one RedfieldTable holding Lambda in |Omega| for each,
+stacked.  Each drive evaluation writes the weights of the generators' terms
+for all its stages and cells in place, and builds the phonon map of all of
+them at once: the table's Lambda and Lambda^dag stacks, or the secular map
+(``PhononSpec.secular``) of one eigenbasis of all the stages' H; the drift
+applies every cell's own generator in one block-diagonal product and reads
+a stage by its index.  An in-house Dormand-Prince loop (``_dormand_prince``)
+steps every cell over the drive window with its own step control, so a
+cell's numbers do not depend on its block.  The photon count is part of the
+state, and the ring-down tail, whose generator does not depend on the drive,
+is closed once per system.
 """
 
 import importlib.util
@@ -112,7 +114,7 @@ def expm(a):
 
 
 def _csr_kernel():
-    """scipy's private CSR multi-vector product, or None if this scipy has
+    """scipy's private CSR matrix-vector product, or None if this scipy has
     none that takes the arguments scipy 1.17 takes and gets a small product
     right: it is not public API, and scipy.sparse's operator is the fallback.
 
@@ -131,17 +133,51 @@ def _csr_kernel():
             # left in sys.modules, it would keep a later `import scipy.sparse`
             # from binding scipy.sparse._sparsetools; scipy loads its own
             sys.modules.pop(spec.name, None)
-        csr_matvecs = module.csr_matvecs
+        csr_matvec = module.csr_matvec
 
-        out = np.zeros(4, dtype=complex)  # [[1, 0], [0, 2]] @ [[1, 2], [3, 4]]
-        csr_matvecs(2, 2, 2, np.array([0, 1, 2], dtype=np.int32), np.array([0, 1], dtype=np.int32),
-                    np.array([1.0, 2.0], dtype=complex), np.arange(1.0, 5.0).astype(complex), out)
+        out = np.zeros(2, dtype=complex)  # [[1, 0], [0, 2]] @ [3, 4]
+        csr_matvec(2, 2, np.array([0, 1, 2], dtype=np.int32), np.array([0, 1], dtype=np.int32),
+                   np.array([1.0, 2.0], dtype=complex), np.array([3.0, 4.0], dtype=complex), out)
     except (ImportError, AttributeError, TypeError, ValueError):  # gone, or called otherwise
         return None
-    return csr_matvecs if out.tolist() == [1, 2, 6, 8] else None
+    return csr_matvec if out.tolist() == [3, 8] else None
 
 
-CSR_MATVECS = _csr_kernel()
+CSR_MATVEC = _csr_kernel()
+
+
+def _block_diagonal(blocks, n):
+    """The CSR triplet (indptr, indices, data) of the block-diagonal matrix
+    of the given triplets, in order, each of n columns."""
+    indptr, indices, data = zip(*blocks)
+    starts = np.cumsum([0] + [len(d) for d in data])
+    return (np.concatenate([p[:-1] + s for p, s in zip(indptr, starts)] + [starts[-1:]]).astype(np.int32),
+            np.concatenate([j + k * n for k, j in enumerate(indices)]).astype(np.int32),
+            np.concatenate(data))
+
+
+def _apply_block(block, y, out):
+    """Each row of y times its own block of the block-diagonal triplet
+    ``block`` (``_block_diagonal`` of one generator's ``csr`` per row),
+    written to out (rows, 3, n): scipy's single-vector kernel (CSR_MATVEC)
+    reads y flat, as the one vector it is.  Without the kernel, scipy.sparse
+    is imported here and its operator runs the same kernel on the same
+    triplet.  y and out must be C-contiguous complex arrays of the block's
+    size (ValueError): the kernel reads and writes them unchecked."""
+    indptr, indices, data = block
+    if (y.dtype != complex or out.dtype != complex or not y.flags.c_contiguous or not out.flags.c_contiguous
+            or not out.size == len(indptr) - 1 == 3 * y.size):
+        raise ValueError(f"y and out must be C-contiguous complex arrays of {(len(indptr) - 1) // 3} "
+                         f"and {len(indptr) - 1} entries, got {y.shape} and {out.shape}")
+    if CSR_MATVEC is None:
+        import scipy.sparse
+
+        product = scipy.sparse.csr_array((data, indices, indptr), shape=(out.size, y.size))
+        out.reshape(-1)[...] = product @ y.reshape(-1)
+    else:
+        out.fill(0.0)  # the kernel adds the product to out
+        CSR_MATVEC(out.size, y.size, indptr, indices, data, y.reshape(-1), out.reshape(-1))
+    return out
 
 
 def __getattr__(name):
@@ -211,14 +247,15 @@ def ringdown_grid(system, field, n_points):
 class Generator:
     """Superoperators on y = [vec(rho), photons], vec(A rho B) = kron(A, B.T)
     vec(rho).  ``terms`` stacks L0 and the parts multiplying Omega and
-    conj(Omega) as one dense array of shape (3 (d2 + 1), d2 + 1); ``apply``
-    multiplies by its nonzero entries (``csr``): unpinned BLAS threads the
-    dense product."""
+    conj(Omega) as one dense array of shape (3 (d2 + 1), d2 + 1); the drift
+    multiplies by its nonzero entries (``csr``), one generator's block per
+    cell (``_apply_block``): unpinned BLAS threads the dense product."""
 
     def __init__(self, system):
         space = system.hilbert
         eye, a, sm = np.eye(space.dim), annihilation(space), sigma_minus(space)
         ad, self.sm, self.sp = a.conj().T, sm, sm.conj().T
+        self.n_fock = space.n_fock
         self.pop, self.n_op = self.sp @ sm, ad @ a
         self.h0 = system.delta_omega_c * self.n_op + system.g * (ad @ sm + a @ self.sp)
 
@@ -236,12 +273,11 @@ class Generator:
         terms[0, d2, :d2] = system.kappa * self.n_op.T.ravel()  # photons' = kappa <n>
         terms[1:, :d2, :d2] = 0.5 * commutator(self.sp), 0.5 * commutator(sm)
         self.terms = terms.reshape(3 * (d2 + 1), d2 + 1)
-        self._transposed = None  # apply's buffers for its last number of rows
 
     @cached_property
     def csr(self):
         """``terms`` in compressed sparse rows (indptr, indices, data), taken
-        when ``apply`` first runs, so an edit of ``terms`` before that is
+        when the drift first reads it, so an edit of ``terms`` before that is
         applied: nonzero entries in row-major order, int32 indices, which is
         the canonical form scipy.sparse.csr_array(terms) holds."""
         rows, cols = np.nonzero(self.terms)
@@ -250,44 +286,15 @@ class Generator:
 
     def hamiltonian(self, omega):
         """H(Omega)/hbar for each Omega of the array omega: shape omega.shape + (dim, dim)."""
-        omega = np.asarray(omega)[..., None, None]
-        return self.h0 + 0.5 * omega * self.sp + 0.5 * np.conj(omega) * self.sm
+        return _hamiltonian(self.h0, self, omega)
 
-    def apply(self, y, out=None):
-        """The three terms applied to each row of y: shape (rows, 3, d2 + 1),
-        written to out (C-contiguous, of that shape) if given.  scipy's CSR
-        kernel (CSR_MATVECS) multiplies ``csr`` by the rows: a single row is
-        a column as it lies, and the kernel writes out in place; several rows
-        go through transposed buffers, kept for the next call on as many
-        rows.  Without the kernel, scipy.sparse is imported here and its
-        operator runs the same kernel on the same triplet."""
-        n_out, n = self.terms.shape
-        if y.ndim != 2 or y.shape[1] != n:  # the kernel reads n values per row unchecked
-            raise ValueError(f"rows of length {n} expected, got shape {y.shape}")
-        rows = len(y)
-        if out is None:
-            out = np.empty((rows, 3, n), dtype=complex)
-        elif out.shape != (rows, 3, n) or out.dtype != complex or not out.flags.c_contiguous:  # written unchecked
-            raise ValueError(f"out must be a C-contiguous complex array of shape {(rows, 3, n)}")
-        indptr, indices, data = self.csr
-        if CSR_MATVECS is None:
-            import scipy.sparse
 
-            product = scipy.sparse.csr_array((data, indices, indptr), shape=self.terms.shape)
-            out.reshape(rows, n_out)[...] = (product @ np.ascontiguousarray(y.T, dtype=complex)).T
-        elif rows == 1:
-            out.fill(0.0)  # the kernel adds the product to out
-            CSR_MATVECS(n_out, n, 1, indptr, indices, data, np.ascontiguousarray(y, dtype=complex).reshape(-1),
-                        out.reshape(-1))
-        else:
-            if self._transposed is None or self._transposed[0].shape[1] != rows:
-                self._transposed = np.empty((n, rows), dtype=complex), np.empty((n_out, rows), dtype=complex)
-            y_t, out_t = self._transposed
-            y_t[...] = y.T
-            out_t.fill(0.0)
-            CSR_MATVECS(n_out, n, rows, indptr, indices, data, y_t.reshape(-1), out_t.reshape(-1))
-            out.reshape(rows, n_out)[...] = out_t.T
-        return out
+def _hamiltonian(h0, gen, omega):
+    """h0 + (Omega sigma+ + Omega* sigma-)/2 for each Omega of the array
+    omega, with gen's sigma+ and sigma-: h0 is one (dim, dim) matrix, or one
+    per entry of omega's last axis."""
+    omega = np.asarray(omega)[..., None, None]
+    return h0 + 0.5 * omega * gen.sp + 0.5 * np.conj(omega) * gen.sm
 
 
 def hamiltonian_at(system, field, t):
@@ -374,41 +381,47 @@ def redfield_dissipator(system, phonon, h_now):
 
 
 class RedfieldTable:
-    """Lambda of the non-secular map, read from a table in r = |Omega| that
-    every cell of a block shares.
+    """Lambda of the non-secular map, read from a table in r = |Omega| for
+    each generator of a block, stacked so that one lookup reads every cell's
+    own table.
 
     N = a^dag a + sigma+ sigma- commutes with h0 and A, and sigma+ raises it by
     one, so H(r e^{i phi}) = U H(r) U^dag with U = e^{i phi N}, and Lambda
     follows: Lambda(Omega)_jk = (Omega/r)^(N_j - N_k) Lambda(r)_jk, where
     Lambda(r) is real and depends on the system and the phonon spec alone.
     The table samples it at the nodes k TABLE_STEP up to the first past r_max,
-    plus two guard nodes past each end (one batched eigh, one bath_rate call),
-    and keeps the drive's C1 cubic Hermite rule (``hermite_cubic``) on each
-    interval from 0 to the last interior node; the guard nodes give the end
-    slopes.  No node or cubic depends on r_max, so a cell reads the same
-    numbers from any table that covers its drive.
+    plus two guard nodes past each end (one batched eigh, one bath_rate call
+    for all the generators), and keeps the drive's C1 cubic Hermite rule
+    (``hermite_cubic``) on each interval from 0 to the last interior node;
+    the guard nodes give the end slopes.  No node or cubic depends on r_max
+    or on the other generators, so a cell reads the same numbers from any
+    table that covers its drive.  The generators share one Hilbert space.
     """
 
-    def __init__(self, system, phonon, gen, r_max):
+    def __init__(self, phonon, gens, r_max):
         # nodes -2 .. n + 2 for n = int(r_max / TABLE_STEP) + 1: r_max < n TABLE_STEP
         r = np.arange(-2, int(r_max / TABLE_STEP) + 4) * TABLE_STEP
-        h = gen.h0.real + 0.5 * r[:, None, None] * (gen.sp + gen.sm).real
-        lam = _lambda(*_eigenbasis(phonon, h, system.hilbert.n_fock))
-        # (interval, power, dim * dim): the linear guard intervals are never read
-        self.cubic = hermite_cubic(lam.reshape(len(r), -1))[2:-2]
+        gen = gens[0]
+        h0 = np.stack([g.h0.real for g in gens])[:, None]
+        h = h0 + 0.5 * r[:, None, None] * (gen.sp + gen.sm).real
+        lam = _lambda(*_eigenbasis(phonon, h, gen.n_fock))
+        # (generator, interval, power, dim * dim): the linear guard intervals are never read
+        self.cubic = np.moveaxis(hermite_cubic(lam.reshape(len(gens), len(r), -1).swapaxes(0, 1))[2:-2], 2, 0)
         n_exc = np.rint(np.diag(gen.n_op + gen.pop).real).astype(int)
         self.exponent = n_exc[:, None] - n_exc[None, :]  # N_j - N_k
         # the few distinct exponents, and where each entry reads its power
         self.powers = np.arange(self.exponent.min(), self.exponent.max() + 1)
         self.gather = self.exponent - self.powers[0]
 
-    def lam(self, omega):
-        """Lambda(Omega), of shape omega.shape + (dim, dim); non-finite for a non-finite Omega."""
+    def lam(self, omega, table=0):
+        """Lambda(Omega) of the generator ``table`` (an index, or one per
+        entry of omega's last axis), of shape omega.shape + (dim, dim);
+        non-finite for a non-finite Omega."""
         r = np.abs(omega)
         x = r / TABLE_STEP
-        i = np.fmin(x, len(self.cubic) - 1).astype(np.intp)  # fmin: NaN reads the last interval
+        i = np.fmin(x, self.cubic.shape[1] - 1).astype(np.intp)  # fmin: NaN reads the last interval
         powers = (x - i)[..., None, None] ** CUBIC_POWERS
-        lam = np.matmul(powers, self.cubic[i])
+        lam = np.matmul(powers, self.cubic[table, i])
         # the U(1) phase Omega / r, by components: a complex division
         # overflows for a subnormal r; at r = 0 Lambda is real
         positive = r > 0.0
@@ -431,27 +444,36 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
     their Trajectories sampled on grid.
 
     Cell k is driven by amplitudes[k] times column columns[k] of the stack
-    field (columns broadcasts against amplitudes and lies in [0, n_fields),
-    or raises ValueError; by default every cell reads the first column); the
-    cells are integrated together.  A cell's numbers do not depend on the
-    block it is in.
+    field, under its own system: system is one SystemSpec or one per cell.
+    system and columns broadcast against amplitudes, and columns lie in
+    [0, n_fields) (ValueError otherwise); by default every cell reads the
+    first column.  The systems share one Hilbert space (ValueError
+    otherwise) and may differ in any number.  The cells are integrated
+    together, and a cell's numbers do not depend on the block it is in.
 
-    grid (default: ``ringdown_grid``, 600 points) only sets the samples.  RK45
-    (``_dormand_prince``) covers the drive window to ``field.grid.t_end`` at
-    rtol = tol, atol two decades tighter (most matrix elements are far below
-    unit scale); past it the tail is closed exactly, and ``photons_out``
-    counts the whole ring-down.  The trace guard reads every accepted step
-    of the window and every sample, so a two-point grid (a sweep's, which
-    keeps only ``photons_out``) is still checked along the whole window.  A
-    failure raises a PropagationError whose ``cell`` is the first failing
-    cell of the block.
+    grid (default, for cells on one system: ``ringdown_grid``, 600 points)
+    sets the samples, and the integration starts at its first one: a grid
+    that starts after the drive window would lose the drive before it
+    (ValueError).  Cells on several systems take an explicit grid, since
+    their ring-down grids differ (ValueError).  RK45 (``_dormand_prince``)
+    covers the drive window to ``field.grid.t_end`` at rtol = tol, atol two
+    decades tighter (most matrix elements are far below unit scale); past it
+    the tail of each system is closed exactly, and ``photons_out`` counts
+    the whole ring-down.  The trace guard reads every accepted step of the
+    window and every sample, so a two-point grid (a sweep's, which keeps
+    only ``photons_out``) is still checked along the whole window.  A
+    failure raises a PropagationError, or the LinAlgError of a singular
+    tail generator, whose ``cell`` is the first failing cell of the block.
 
     A drive evaluation reads the field once (``at``) for every running cell
     at the stage times of one attempt, and writes its weights (1, Omega,
     Omega*) and phonon map to buffers that are rebuilt only when a cell
-    finishes; the sign mask of the commutator with A is built once per call.
-    The non-secular table covers the largest finite bound |a| r_max of the
-    cells: a cell whose bound overflows fails its own step control.
+    finishes, as is the block-diagonal product of the running cells'
+    generators (``_apply_block``, one kernel call per drift); the sign mask
+    of the commutator with A is built once per call.  There is one Redfield
+    table per system, stacked, and one tail: the table covers the largest
+    finite bound |a| r_max of the cells, and a cell whose bound overflows
+    fails its own step control.
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol must lie in [1e-12, 1e-4]")
@@ -461,29 +483,50 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
     outside = cols[(cols < 0) | (cols >= n_columns)]
     if outside.size:  # a negative one would read a column from the end
         raise ValueError(f"column {outside[0]} is outside the field's {n_columns} columns")
-    gen, dim, d2, n_fock = Generator(system), system.hilbert.dim, system.hilbert.dim ** 2, system.hilbert.n_fock
-    rho0 = ground_state(system.hilbert) if rho0 is None else rho0
-    grid = ringdown_grid(system, field, 600) if grid is None else grid
+    # the distinct systems in the order of their first cells, and each cell's index among them
+    index = {}
+    cell_systems = np.broadcast_to(np.array(system, dtype=object), amps.shape).tolist()
+    which = np.array([index.setdefault(s, len(index)) for s in cell_systems], dtype=np.intp)
+    systems = list(index)
+    if len({s.hilbert for s in systems}) > 1:
+        raise ValueError("the cells' systems must share one Hilbert space")
+    if grid is None:
+        if len(systems) > 1:
+            raise ValueError(f"cells on {len(systems)} systems need an explicit grid: their ring-down grids differ")
+        grid = ringdown_grid(systems[0], field, 600)
+    if grid.t_start > field.grid.t_start:
+        raise ValueError(f"the grid starts at {grid.t_start:.9g} s, after the drive window starts at "
+                         f"{field.grid.t_start:.9g} s: the drive before the grid would be lost")
+    gens = [Generator(s) for s in systems]
+    gen, dim = gens[0], systems[0].hilbert.dim
+    d2 = dim ** 2
+    rho0 = ground_state(systems[0].hilbert) if rho0 is None else rho0
 
-    table = None
+    table = h0 = None
     if phonon.enabled and not phonon.secular:
         # a negative amplitude drives -|a| field: its |Omega| is bounded by |a| r_max;
         # a cell whose bound is not finite fails its own drive and does not size the table
         bound = np.abs(amps) * field.magnitude_bound()[cols]
-        table = RedfieldTable(system, phonon, gen, bound.max(initial=0.0, where=np.isfinite(bound)))
-    sign = _coupling_sign(dim, n_fock)
+        table = RedfieldTable(phonon, gens, bound.max(initial=0.0, where=np.isfinite(bound)))
+    elif phonon.enabled:
+        h0 = np.stack([g.h0 for g in gens])
+    sign = _coupling_sign(dim, gen.n_fock)
 
     # what a drive evaluation fills in place, for drift to read by stage: the
     # weights (1, Omega, Omega*) of the generator's terms, (stages, cells, 1, 3),
     # and the phonon map, Lambda and Lambda^dag (stages, cells, dim, dim) or the
-    # secular map's function; the generator's product goes to `applied`
-    weights = applied = lam = lam_d = secular = None
-    running = amp_c = col_c = None  # the cells of the last drive call, with their amplitudes and columns
+    # secular map's function; the generators' product goes to `applied`
+    weights = applied = block = lam = lam_d = secular = None
+    running = amp_c = col_c = sys_c = None  # the cells of the last drive call, their amplitudes, columns, systems
 
-    def buffers(n_cells, n_rows):
-        nonlocal weights, applied
-        weights = np.ones((len(RK_C) - 1, n_cells, 1, 3), dtype=complex)
+    def buffers(cell_sys, n_rows):
+        """Buffers for drive cells on the systems cell_sys (an index each),
+        and the product of n_rows rows: one per cell, or one cell's repeated."""
+        nonlocal weights, applied, block, sys_c
+        sys_c = cell_sys
+        weights = np.ones((len(RK_C) - 1, len(cell_sys), 1, 3), dtype=complex)
         applied = np.empty((n_rows, 3, d2 + 1), dtype=complex)
+        block = _block_diagonal([gens[j].csr for j in np.broadcast_to(cell_sys, n_rows).tolist()], d2 + 1)
 
     def stages(omega):
         """Evaluate the drive omega (stages, cells) for drift."""
@@ -492,17 +535,17 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
         w[..., 1] = omega
         np.conjugate(omega, out=w[..., 2])
         if table is not None:
-            lam = table.lam(omega)
+            lam = table.lam(omega, sys_c)
             lam_d = lam.conj().swapaxes(-1, -2).copy()
         elif phonon.enabled:
-            secular = _secular(*_eigenbasis(phonon, gen.hamiltonian(omega), n_fock))
+            secular = _secular(*_eigenbasis(phonon, _hamiltonian(h0[sys_c], gen, omega), gen.n_fock))
 
     def drive(cells, times):
         """Evaluate the drive of the given cells at times (cells, stages)."""
         nonlocal running, amp_c, col_c
         if cells is not running:  # the first call, or a cell has finished
             running, amp_c, col_c = cells, amps[cells, None], cols[cells, None]
-            buffers(len(cells), len(cells))
+            buffers(which[cells], len(cells))
         omega = field.at(times, col_c)
         np.multiply(amp_c, omega, out=omega)
         stages(np.conjugate(omega, out=omega).T)
@@ -511,7 +554,7 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
         """dy/dt of each row of y, one cell each, under stage s of the last
         drive evaluation, written to out (rows, 1, d2 + 1) if given."""
         # applied is contiguous for any number of rows: matmul's arithmetic follows the layout
-        dy = np.matmul(weights[s], gen.apply(y, applied), out=out)[:, 0]
+        dy = np.matmul(weights[s], _apply_block(block, y, applied), out=out)[:, 0]
         if lam is not None:
             dy[:, :d2] += _commutator(lam[s], lam_d[s], sign, y[:, :d2].reshape(-1, dim, dim)).reshape(-1, d2)
         elif secular is not None:
@@ -521,56 +564,69 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
     times = grid.times
     n_cells, n_t = len(amps), len(times)
     states = np.empty((n_cells, n_t, dim, dim), dtype=complex)
-    t_w = max(field.grid.t_end, grid.t_start)  # the drive is zero from here on
+    t_w = field.grid.t_end  # the drive is zero from here on
     n_in = int(np.searchsorted(times, t_w))  # samples before t_w; the tail has the rest
     y = np.tile(np.append(rho0.ravel(), 0.0).astype(complex), (n_cells, 1))
-    nfev, failures, step_drift = [0] * n_cells, [None] * n_cells, [0.0] * n_cells
-    if t_w > grid.t_start:
-        # cap the step so the adaptive integrator cannot leap over the whole
-        # pulse window: a step whose stage points all land where the field is
-        # zero reports zero local error and would be accepted
-        max_step = (field.grid.t_end - field.grid.t_start) / 64.0
-        window = states[:, :n_in].reshape(n_cells, n_in, d2)
-        y, nfev, step_drift, failures = _dormand_prince(drive, drift, y, grid.t_start, t_w, times[:n_in], window,
-                                                        slice(0, d2, dim + 1), tol, 1e-2 * tol, max_step)
+    # cap the step so the adaptive integrator cannot leap over the whole
+    # pulse window: a step whose stage points all land where the field is
+    # zero reports zero local error and would be accepted
+    max_step = (field.grid.t_end - field.grid.t_start) / 64.0
+    window = states[:, :n_in].reshape(n_cells, n_in, d2)
+    y, nfev, step_drift, failures = _dormand_prince(drive, drift, y, grid.t_start, t_w, times[:n_in], window,
+                                                    slice(0, d2, dim + 1), tol, 1e-2 * tol, max_step)
 
-    # the constant tail generator, column by column from the same drift: one
-    # cell's zero drive, broadcast over the identity's rows
-    buffers(1, d2 + 1)
-    stages(np.zeros((1, 1)))
-    l_tail = drift(np.eye(d2 + 1, dtype=complex), 0).T
-    applied = gen._transposed = None  # the tail's product buffers, not read again: 0.47 MB at n_max = 3
-    l_rho, flux = l_tail[:d2, :d2], l_tail[d2, :d2]
-    # L_T rho_ss = 0, Tr rho_ss = 1 and L_T x = rho_ss - rho_T, Tr x = 0: the
-    # rho_00 row is redundant (L_T preserves the trace), so Tr takes its place.
-    # A singular L_T has no unique steady state: solve raises LinAlgError
-    m_ss = np.vstack([np.eye(dim).ravel(), l_rho[1:]])
-    rho_ss = np.linalg.solve(m_ss, np.eye(d2)[0])
-    n_ss = (flux @ rho_ss).real / system.kappa
-    if not abs(n_ss) <= 1e-10:  # NaN too
-        raise PropagationError(f"steady state holds {n_ss:.2e} photons: no finite yield")
-    y[[k for k, failure in enumerate(failures) if failure]] = 0.0  # their tails go unread
-    rhs = rho_ss - y[:, :d2]
-    rhs[:, 0] = 0.0
-    photons_out = (y[:, d2].real + (flux @ np.linalg.solve(m_ss, rhs.T)).real).tolist()
+    # per system, the constant tail generator L_T, column by column from the
+    # same drift (one cell's zero drive, broadcast over the identity's rows),
+    # and the photons its cells emit past t_w
+    photons_out, l_rhos = [0.0] * n_cells, []
+    for j, system_j in enumerate(systems):
+        members = np.flatnonzero(which == j)
+        first = int(members[0])
+        buffers(which[first : first + 1], d2 + 1)
+        stages(np.zeros((1, 1)))
+        l_tail = drift(np.eye(d2 + 1, dtype=complex), 0).T
+        l_rho, flux = l_tail[:d2, :d2], l_tail[d2, :d2]
+        # L_T rho_ss = 0, Tr rho_ss = 1 and L_T x = rho_ss - rho_T, Tr x = 0: the
+        # rho_00 row is redundant (L_T preserves the trace), so Tr takes its place.
+        # A singular L_T has no unique steady state: solve raises LinAlgError
+        m_ss = np.vstack([np.eye(dim).ravel(), l_rho[1:]])
+        try:
+            rho_ss = np.linalg.solve(m_ss, np.eye(d2)[0])
+            n_ss = (flux @ rho_ss).real / system_j.kappa
+            if not abs(n_ss) <= 1e-10:  # NaN too
+                raise PropagationError(f"steady state holds {n_ss:.2e} photons: no finite yield", cell=first)
+        except (np.linalg.LinAlgError, PropagationError) as exc:  # it fails the system's first cell, below
+            exc.cell, failures[first] = first, exc
+            l_rhos.append(np.zeros_like(l_rho))  # its cells' samples go unread
+            continue
+        l_rhos.append(l_rho)
+        y_j = y[members]
+        y_j[[c for c, k in enumerate(members.tolist()) if failures[k]]] = 0.0  # their tails go unread
+        rhs = rho_ss - y_j[:, :d2]
+        rhs[:, 0] = 0.0
+        for k, n_out in zip(members.tolist(), (y_j[:, d2].real + (flux @ np.linalg.solve(m_ss, rhs.T)).real).tolist()):
+            photons_out[k] = n_out
+    applied = block = None  # the tail's product buffers, not read again: 0.68 MB at n_max = 3
 
     if n_in < n_t:
         # samples past the window, written in place: the first one is
-        # expm(L_T (t - t_w)) rho_T, and sample j + m is P^m times sample j for
-        # P = expm(L_T dt), so m doubles: one matrix product per cell each time
+        # expm(L_T (t - t_w)) rho_T under the cell's own L_T, and sample j + m is
+        # P^m times sample j for P = expm(L_T dt), so m doubles: one matrix
+        # product per cell each time
         tail = states[:, n_in:].reshape(n_cells, -1, d2)
-        np.matmul(expm(l_rho * (times[n_in] - t_w)), y[:, :d2, None], out=tail[:, :1].swapaxes(1, 2))
+        first_step = np.stack([expm(l_rho * (times[n_in] - t_w)) for l_rho in l_rhos])
+        np.matmul(first_step[which], y[:, :d2, None], out=tail[:, :1].swapaxes(1, 2))
         if tail.shape[1] > 1:  # a one-sample tail needs no P
-            power, m = expm(l_rho * grid.dt).T, 1
+            power, m = np.stack([expm(l_rho * grid.dt).T for l_rho in l_rhos]), 1
             while m < tail.shape[1]:
                 n_new = min(m, tail.shape[1] - m)
-                np.matmul(tail[:, :n_new], power, out=tail[:, m : m + n_new])
+                np.matmul(tail[:, :n_new], power[which], out=tail[:, m : m + n_new])
                 power, m = power @ power, 2 * m
 
     cells = []
     for k, (cell_states, failure) in enumerate(zip(states, failures)):
         if failure:
-            raise PropagationError(failure, cell=k)
+            raise failure if isinstance(failure, Exception) else PropagationError(failure, cell=k)
         trace_drift = max(step_drift[k], np.abs(np.einsum("tii->t", cell_states).real - 1.0).max())
         if trace_drift > 1e-8 and tol <= 1e-8:
             raise PropagationError(f"trace drift {trace_drift:.2e} exceeds 1e-8", cell=k)

@@ -7,16 +7,19 @@ axis paths and reduction and derives the metadata from the spec alone.  The
 figure-class functions (power curves, laser- and cavity-detuning maps,
 mode-splitting maps) only build a SweepSpec for it.
 
-A job is a block: consecutive cells (in row-major order) on one generator,
-at most ROW_CELLS of them.  They share what the generator, the Redfield
-table and the grids read (``_block_key``) and may differ in the drive alone:
-the amplitude, the laser detuning, the excitation mode's detuning, the pulse
-shape and chirp.  The filtered field is linear in the amplitude, so a block
-builds one field at unit amplitude per distinct (pulse, excitation mode),
-stacks them as the columns of one field, and ``propagate`` integrates its
-cells together, each under its own column.
+A job is a block: consecutive cells (in row-major order) on one Hilbert
+space, at most ROW_CELLS of them on at most ROW_SYSTEMS systems.  They share
+the Hilbert space, the phonon map, the tolerance and the grids
+(``_block_key``) and may differ in the drive (the amplitude, the laser
+detuning, the excitation mode's detuning, the pulse shape and chirp) and in
+the system (the cavity detuning, g, kappa, gamma_bg): each cell runs under
+its own generator.  The filtered field is linear in the amplitude, so a
+block builds one field at unit amplitude per distinct (pulse, excitation
+mode), stacks them as the columns of one field, and ``propagate`` integrates
+its cells together, each under its own column and system.
 A job keeps only each cell's pi_e or eta_c, so it stores no samples: the
-block is propagated on the two ends of its ring-down grid.  Each cell keeps
+block is propagated on the two ends of its drive window, which every system
+shares.  Each cell keeps
 its own steps, so its value is bit for bit that of ``run_cell``, whatever
 block it is in.  Cells are deterministic functions of the immutable
 RunConfig, so the blocks may run in any order and on any number of workers;
@@ -35,7 +38,7 @@ from . import __version__
 from .config import SweepSpec, apply_override
 from .dynamics import propagate, ringdown_grid
 from .observables import beta_collection, figure_of_merit
-from .pulses import IntracavityField, intracavity_field_numeric, pulse_area
+from .pulses import IntracavityField, TimeGrid, intracavity_field_numeric, pulse_area
 
 FOCK_TOL = 1e-4  # the largest pi_e shift from n_max to n_max + 2 that counts as converged
 # the most cells one job integrates together.  Full recipes through run_sweep,
@@ -51,6 +54,13 @@ FOCK_TOL = 1e-4  # the largest pi_e shift from n_max to n_max + 2 that counts as
 # block of 32 cells on 32 fields at 25.6 MB.  32 takes most of the gain and
 # keeps that worst case at half of 64's.
 ROW_CELLS = 32
+# the most distinct systems one job holds.  A job's peak grows with them too,
+# by about 1.2 MB each for 12 pi phonon cells (a generator, and a Redfield
+# table with its build): 32 cells on one field peak at 6.17 MB on 4 systems,
+# 10.7 on 8, 20.7 on 16 and 40.6 on 32.  8 keeps a cavity-detuning row (a
+# system per detuning, the amplitude innermost) in one job and the worst case
+# of one field near 11 MB.
+ROW_SYSTEMS = 8
 
 
 class SweepCellError(RuntimeError):
@@ -76,15 +86,16 @@ def run_cell(config):
     return _run_row((config,))[0]
 
 
-def _run_row(configs, n_points=None):
+def _run_row(configs, sampled=True):
     """A block of cells with one ``_block_key``, simulated together: one field
     build at unit amplitude per distinct (pulse, excitation mode) and one
-    propagate call, on the ring-down grid of n_points samples (default: the
-    first config's n_traj_points).  Returns the (fom, intra-cavity area,
-    traj) of each cell, its fom under its own system (beta_c reads the
-    excitation mode).  A field that cannot be built fails the first cell that
-    reads it, once the cells before that one have run: one of them may fail
-    first."""
+    propagate call, each cell under its own system.  A sampled block is
+    propagated on the ring-down grid of its first cell's system, at its
+    n_traj_points; a sample-free one on the two ends of the drive window,
+    which every system shares.  Returns the (fom, intra-cavity area, traj)
+    of each cell, its fom under its own system (beta_c reads the excitation
+    mode).  A field that cannot be built fails the first cell that reads it,
+    once the cells before that one have run: one of them may fail first."""
     fields, column, columns = [], {}, []  # the distinct fields; (pulse, mode) -> index; each cell's index
     for k, config in enumerate(configs):
         unit = replace(config, amplitude_pi=1.0)
@@ -94,7 +105,7 @@ def _run_row(configs, n_points=None):
                 fields.append(intracavity_field_numeric(*key, unit.field_grid()))
             except ValueError as exc:  # a GridResolutionError
                 if k:
-                    _run_row(configs[:k], n_points)
+                    _run_row(configs[:k], sampled)
                 exc.cell = k
                 raise
             column[key] = len(column)
@@ -102,45 +113,60 @@ def _run_row(configs, n_points=None):
     field = IntracavityField(fields[0].grid, np.hstack([f.envelope for f in fields]))
     fields.clear()  # the stack, a column each, replaces them
     areas = pulse_area(field)
+    systems = [_generator_system(config) for config in configs]
     first = configs[0]
-    system = first.system()
-    grid = ringdown_grid(system, field, n_points or first.n_traj_points)
+    if sampled:
+        grid = ringdown_grid(systems[0], field, first.n_traj_points)
+    else:
+        grid = TimeGrid(field.grid.t_start, field.grid.t_end, 2)
     amps = tuple(config.amplitude_pi for config in configs)
-    block = propagate(system, field, first.phonon(), grid=grid, tol=first.tol, amplitudes=amps, columns=columns)
+    block = propagate(systems, field, first.phonon(), grid=grid, tol=first.tol, amplitudes=amps, columns=columns)
     return [(figure_of_merit(traj, config.system()), areas[traj.column] * traj.amplitude, traj)
             for config, traj in zip(configs, block.cells)]
 
 
 def _row_values(configs, reduce_kind):
     """The (value, intra-cavity area) of each cell of a block job: its pi_e
-    or eta_c.  A sweep keeps no samples, so the block is propagated on the
-    two ends of its ring-down grid."""
+    or eta_c.  A sweep keeps no samples, so the block is sample-free."""
     value = "pi_e" if reduce_kind == "PiE" else "eta_c"
-    return tuple((getattr(fom, value), area) for fom, area, _ in _run_row(configs, 2))
+    return tuple((getattr(fom, value), area) for fom, area, _ in _run_row(configs, False))
+
+
+def _generator_system(config):
+    """The system of a cell's generator: the excitation mode's detuning
+    reaches the field and beta_c alone, so cells that differ in it share one."""
+    return replace(config.system(), delta_omega_e=0.0)
 
 
 def _block_key(config):
-    """What the cells of one job share: the generator's system (the excitation
-    mode's detuning reaches the field and beta_c alone), the phonon map, the
-    tolerance, and the field and output grids."""
+    """What the cells of one job share: the Hilbert space, the phonon map,
+    the tolerance, and the field and output grids.  Their systems may differ:
+    each cell runs under its own generator."""
     try:
-        system = replace(config.system(), delta_omega_e=0.0)
-        return system, config.phonon(), config.tol, config.field_grid(), config.n_traj_points
+        return config.system().hilbert, config.phonon(), config.tol, config.field_grid(), config.n_traj_points
     except ValueError:  # an invalid spec: the cell is a job of its own, which fails naming it
         return object()
 
 
 def _rows(cells, jobs=1):
-    """The jobs: runs of consecutive cells with one ``_block_key``, each split
-    into near-equal parts of at most ROW_CELLS cells, and the largest parts
-    split further until there are at least `jobs` of them (or one per cell)."""
-    runs, last = [], None
+    """The jobs: runs of consecutive cells with one ``_block_key`` and at most
+    ROW_SYSTEMS distinct systems, each split into near-equal parts of at most
+    ROW_CELLS cells, and the largest parts split further until there are at
+    least `jobs` of them (or one per cell)."""
+    runs, last, systems = [], None, set()  # systems: the distinct ones of the last run, once it has two cells
     for config in cells:
         key = _block_key(config)
-        if runs and key == last:
-            runs[-1].append(config)
+        if runs and key == last:  # a valid spec
+            system = _generator_system(config)
+            systems = systems or {_generator_system(runs[-1][0])}
+            if system in systems or len(systems) < ROW_SYSTEMS:
+                runs[-1].append(config)
+                systems.add(system)
+                continue
+            systems = {system}
         else:
-            runs.append([config])
+            systems = set()
+        runs.append([config])
         last = key
     parts = [-(-len(run) // ROW_CELLS) for run in runs]
     while sum(parts) < min(jobs, len(cells)):

@@ -5,10 +5,13 @@ import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavex import dynamics
 from cavex.config import apply_override, blue_case, load_config, red_case
@@ -313,9 +316,9 @@ class TestRedfieldTable:
         cfg, field = blue_field(12.0, n_max=n_max)
         system, phonon = cfg.system(), cfg.phonon()
         gen = Generator(system)
-        table = RedfieldTable(system, phonon, gen, field.magnitude_bound()[0])
+        table = RedfieldTable(phonon, [gen], field.magnitude_bound()[0])
         rng = np.random.default_rng(21)
-        for r_nodes, bound in ((rng.integers(0, len(table.cubic) + 1, 10) * TABLE_STEP, 1e-13),
+        for r_nodes, bound in ((rng.integers(0, table.cubic.shape[1] + 1, 10) * TABLE_STEP, 1e-13),
                                (rng.uniform(0.0, field.magnitude_bound()[0], 10), 1e-8),
                                (rng.uniform(0.0, 10 * TABLE_STEP, 10), 1e-8)):
             for r in r_nodes:
@@ -334,8 +337,8 @@ class TestRedfieldTable:
         times = np.linspace(*field.grid.times[[peak - 3, peak + 3]], 3001)
         largest = max(abs(field.at(t)) for t in times)
         assert largest > np.abs(field.envelope).max()
-        table = RedfieldTable(system, cfg.phonon(), Generator(system), field.magnitude_bound()[0])
-        assert largest < len(table.cubic) * TABLE_STEP  # the last interior node
+        table = RedfieldTable(cfg.phonon(), [Generator(system)], field.magnitude_bound()[0])
+        assert largest < table.cubic.shape[1] * TABLE_STEP  # the last interior node
 
     def test_one_bath_rate_call_per_cell(self, monkeypatch):
         # one bath_rate call and one eigh batch, no larger than the one the
@@ -360,8 +363,8 @@ class TestRedfieldTable:
         cfg, field = blue_field(3.0)
         system, phonon = cfg.system(), cfg.phonon()
         gen, bound = Generator(system), field.magnitude_bound()[0]
-        small, large = (RedfieldTable(system, phonon, gen, r) for r in (bound, 4.0 * bound))
-        assert len(small.cubic) < len(large.cubic)
+        small, large = (RedfieldTable(phonon, [gen], r) for r in (bound, 4.0 * bound))
+        assert small.cubic.shape[1] < large.cubic.shape[1]
         rng = np.random.default_rng(8)
         omega = rng.uniform(0.0, bound, (6, 5)) * np.exp(2j * np.pi * rng.uniform(size=(6, 5)))
         for got, want in zip(small.lam(omega), large.lam(omega)):
@@ -372,7 +375,7 @@ class TestRedfieldTable:
         # the oracle is lam with phase ** exponent taken entry by entry
         cfg, field = blue_field(6.0)
         system = cfg.system()
-        table = RedfieldTable(system, cfg.phonon(), Generator(system), field.magnitude_bound()[0])
+        table = RedfieldTable(cfg.phonon(), [Generator(system)], field.magnitude_bound()[0])
         rng = np.random.default_rng(22)
         drawn = rng.uniform(0.0, field.magnitude_bound()[0], (6, 8)) * np.exp(2j * np.pi * rng.uniform(size=(6, 8)))
         drawn[0, :4] = 0.0, -0.0, 5e-324 - 5e-324j, -1e-310 + 3e-320j  # zero and subnormal
@@ -380,8 +383,8 @@ class TestRedfieldTable:
         for omega in (drawn, drawn[:, :1], drawn[0, 0]):
             r = np.abs(omega)
             x = r / TABLE_STEP
-            i = np.fmin(x, len(table.cubic) - 1).astype(np.intp)
-            lam = np.matmul((x - i)[..., None, None] ** np.arange(4), table.cubic[i])
+            i = np.fmin(x, table.cubic.shape[1] - 1).astype(np.intp)
+            lam = np.matmul((x - i)[..., None, None] ** np.arange(4), table.cubic[0, i])
             safe = np.where(r > 0.0, r, 1.0)
             phase = np.where(r > 0.0, omega.real / safe + 1j * (omega.imag / safe), 1.0)
             want = lam.reshape(r.shape + table.exponent.shape) * phase[..., None, None] ** table.exponent
@@ -395,12 +398,91 @@ class TestRedfieldTable:
         assert field.magnitude_bound()[0] == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no division by zero
-            table = RedfieldTable(system, phonon, Generator(system), 0.0)
-            assert len(table.cubic) == 1 and np.all(np.isfinite(table.cubic))
+            table = RedfieldTable(phonon, [Generator(system)], 0.0)
+            assert table.cubic.shape[1] == 1 and np.all(np.isfinite(table.cubic))
             rho = random_density_matrix(np.random.default_rng(4), system.hilbert.dim)
             want = redfield_dissipator(system, phonon, Generator(system).h0)(rho)
             assert np.abs(table_map(table, 0.0, rho) - want).max() <= 1e-13 * np.abs(want).max()
             assert propagate(system, field, phonon).cells[0].photons_out == 0.0
+
+
+# two or three systems on one Hilbert space, as a block of a cavity or coupling sweep mixes them
+SYSTEMS = st.lists(st.tuples(st.integers(-4, 4).map(lambda q: 10.0 * q), st.sampled_from([2.0, 4.0, 6.0]),
+                             st.sampled_from([0.0, 1.0])), min_size=2, max_size=3)
+
+
+def block_systems(drawn):
+    return [blue_case(delta_omega_c_GHz=dwc, g_GHz=g, gamma_bg_GHz=gamma_bg).system() for dwc, g, gamma_bg in drawn]
+
+
+class Stop(Exception):
+    pass
+
+
+def block_drift(systems, phonon, field, amplitudes, columns):
+    """propagate's drive and drift for a block of cells, one system each,
+    taken where it hands them to the integrator."""
+    box = {}
+
+    def grab(drive, drift, *args):
+        box.update(drive=drive, drift=drift)
+        raise Stop
+
+    with mock.patch.object(dynamics, "_dormand_prince", grab), pytest.raises(Stop):
+        propagate(systems, field, phonon, grid=field.grid, amplitudes=amplitudes, columns=columns)
+    return box["drive"], box["drift"]
+
+
+class TestBlockLaws:
+    @settings(max_examples=10, deadline=None)
+    @given(drawn=SYSTEMS, seed=st.integers(0, 2**32 - 1))
+    def test_stacked_table_reads_each_cells_own_map(self, drawn, seed):
+        # U(1) covariance per system: the map one lam call reads for each
+        # cell is redfield_dissipator of that cell's own system at its Omega,
+        # within TestRedfieldTable's bounds
+        systems, phonon = block_systems(drawn), blue_case().phonon()
+        gens = [Generator(system) for system in systems]
+        rng = np.random.default_rng(seed)
+        r_max = 40 * TABLE_STEP
+        table = RedfieldTable(phonon, gens, r_max)
+        dim = systems[0].hilbert.dim
+        sign = dynamics._coupling_sign(dim, gens[0].n_fock)
+        for r, bound in ((rng.integers(0, 41, len(gens)) * TABLE_STEP, 1e-13), (rng.uniform(0.0, r_max, len(gens)), 1e-8)):
+            omega = r * np.exp(2j * np.pi * rng.uniform(size=len(gens)))
+            lam = table.lam(omega[None], np.arange(len(gens)))[0]
+            for j, (system, gen) in enumerate(zip(systems, gens)):
+                rho = random_density_matrix(rng, dim)
+                want = redfield_dissipator(system, phonon, gen.hamiltonian(omega[j]))(rho)
+                got = dynamics._commutator(lam[j], lam[j].conj().T.copy(), sign, rho)
+                assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+    @settings(max_examples=10, deadline=None)
+    @given(drawn=SYSTEMS, seed=st.integers(0, 2**32 - 1))
+    def test_drift_is_hermitian_traceless_and_counts_each_cells_photons(self, drawn, seed):
+        # under every map, on a block that mixes systems: the drift of a
+        # Hermitian unit-trace state is Hermitian and traceless, and its
+        # photon row is kappa Tr(n rho) of the cell's own system
+        systems = block_systems(drawn)
+        rng = np.random.default_rng(seed)
+        n = len(systems)
+        field = IntracavityField(TimeGrid(0.0, 1e-10, 64),
+                                 np.ones((64, n)) * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+        dim = systems[0].hilbert.dim
+        n_op = Generator(systems[0]).n_op
+        for phonon in (PHONONS_OFF, PhononSpec(), PhononSpec(secular=True)):
+            amplitudes = 100 * GHZ * rng.uniform(0.0, 1.0, n)
+            drive, drift = block_drift(systems, phonon, field, amplitudes, np.arange(n))
+            drive(np.arange(n), np.full((n, 5), 5e-11))
+            rho = np.array([random_density_matrix(rng, dim) for _ in range(n)])
+            y = np.hstack([rho.reshape(n, -1), np.zeros((n, 1))]).astype(complex)
+            for s in range(5):
+                dy = drift(y, s)
+                d_rho = dy[:, :-1].reshape(n, dim, dim)
+                scale = np.abs(d_rho).max(axis=(1, 2))
+                assert np.all(np.abs(d_rho - d_rho.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= 1e-12 * scale)
+                assert np.all(np.abs(np.einsum("kii->k", d_rho)) <= 1e-12 * scale)
+                photons = [system.kappa * np.trace(n_op @ r).real for system, r in zip(systems, rho)]
+                np.testing.assert_allclose(dy[:, -1], photons, rtol=1e-13, atol=0)
 
 
 class TestStateInvariants:
@@ -539,9 +621,10 @@ class TestRingdownTail:
         t0 = field.grid.t_end
         span = 40.0 / system.emission_rate
         grid = TimeGrid(t0, t0 + span, 400)
-        # the drive window ends where the grid starts: the photon count and
-        # every sample come from the closed tail (one solve, expm powers)
-        closed = propagate(system, zero_field(t0 - span, t0), phonon, rho0=rho_t, grid=grid).cells[0]
+        # the drive window is 1 fs of zero field at the grid's start: the
+        # photon count and every later sample come from the closed tail (one
+        # solve, expm powers)
+        closed = propagate(system, zero_field(t0, t0 + 1e-15), phonon, rho0=rho_t, grid=grid).cells[0]
         # the same zero drive over the whole grid: RK45 integrates the tail
         direct = propagate(
             system, zero_field(t0, t0 + span), phonon, rho0=rho_t, grid=grid, tol=1e-12
@@ -585,28 +668,31 @@ class TestRow:
             np.testing.assert_array_equal(short.states[0], long.states[0])
             np.testing.assert_allclose(short.states[-1], long.states[-1], rtol=0, atol=1e-12)
 
-    def test_generator_apply_matches_the_sparse_product_and_checks_its_input(self, monkeypatch):
-        system = blue_case().system()
-        gen = Generator(system)
-        y = np.random.default_rng(2).normal(size=(3, system.hilbert.dim ** 2 + 1)) + 0j
-        direct = gen.apply(y)
-        np.testing.assert_array_equal(direct, (scipy.sparse.csr_array(gen.terms) @ y.T).T.reshape(3, 3, -1))
-        with pytest.raises(ValueError, match="rows of length"):
-            gen.apply(y[:, :-1])  # the kernel would read past each row
-        # into a given array, for one row and for several: the kernel writes
-        # there unchecked, so an array of another size or layout is refused
-        for rows in (y[:1], y):
-            out = np.empty((len(rows), 3, y.shape[1]), dtype=complex)
-            assert gen.apply(rows, out) is out
-            np.testing.assert_array_equal(out, direct[: len(rows)])
-        for bad in (np.empty((2, 3, y.shape[1]), dtype=complex), np.empty((3, 3, y.shape[1])),
-                    np.empty((3, y.shape[1], 3), dtype=complex).swapaxes(1, 2)):
+    def test_block_product_matches_each_rows_sparse_product_and_checks_its_input(self, monkeypatch):
+        # each row times its own generator, from one single-vector kernel call
+        # on the block-diagonal triplet: the bytes of scipy.sparse's product
+        # row by row, on one generator or three
+        gens = [Generator(blue_case(**kw).system()) for kw in
+                (dict(), dict(delta_omega_c_GHz=30.0, g_GHz=6.0), dict(gamma_bg_GHz=1.0))]
+        n = gens[0].terms.shape[1]
+        y = np.random.default_rng(2).normal(size=(5, n)) + 1j * np.random.default_rng(3).normal(size=(5, n))
+        for rows in ([0], [0, 0, 0], [2, 0, 1, 1, 2]):
+            block = dynamics._block_diagonal([gens[j].csr for j in rows], n)
+            want = np.array([scipy.sparse.csr_array(gens[j].terms) @ y[k] for k, j in enumerate(rows)])
+            out = np.empty((len(rows), 3, n), dtype=complex)
+            assert dynamics._apply_block(block, y[: len(rows)], out) is out
+            assert out.reshape(len(rows), -1).tobytes() == want.tobytes()
+            # without the private kernel the sparse operator runs the same one
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "CSR_MATVEC", None)
+                again = dynamics._apply_block(block, y[: len(rows)], np.empty_like(out))
+            assert again.tobytes() == out.tobytes()
+        # the kernel reads and writes unchecked: another size or layout is refused
+        for rows, out in ((y[:4], np.empty((5, 3, n), dtype=complex)), (y, np.empty((4, 3, n), dtype=complex)),
+                          (y, np.empty((5, 3, n))), (y[:, :-1], np.empty((5, 3, n - 1), dtype=complex)),
+                          (y.T.copy().T, np.empty((5, 3, n), dtype=complex))):
             with pytest.raises(ValueError, match="C-contiguous complex"):
-                gen.apply(y, bad)
-        # without the private kernel the sparse operator runs the same one
-        monkeypatch.setattr(dynamics, "CSR_MATVECS", None)
-        np.testing.assert_array_equal(gen.apply(y), direct)
-        np.testing.assert_array_equal(gen.apply(y[:1], np.empty((1, 3, y.shape[1]), dtype=complex)), direct[:1])
+                dynamics._apply_block(block, rows, out)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -620,6 +706,29 @@ class TestRow:
         for got, name in zip(gen.csr, ("indptr", "indices", "data")):
             assert got.dtype == getattr(want, name).dtype
             np.testing.assert_array_equal(got, getattr(want, name))
+
+    def test_a_grid_that_starts_after_the_drive_window_fails_first(self, monkeypatch):
+        # the integration starts at the grid's first sample: a later start
+        # would drop the drive before it (photons_out fell from 0.99 to 8e-6
+        # on a grid starting mid-window, and to 0.0 on one past the pulse)
+        monkeypatch.setattr(dynamics, "_dormand_prince", lambda *a: pytest.fail("integrated"))
+        cfg = blue_case(phonon_enabled=False, n_field_points=4096)
+        field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
+        start, end = field.grid.t_start, field.grid.t_end
+        for late in (0.5 * (start + end), end + 1e-12):
+            with pytest.raises(ValueError, match=f"starts at {late:.9g} s, after the drive window starts at {start:.9g} s"):
+                propagate(cfg.system(), field, PHONONS_OFF, grid=TimeGrid(late, end + 1e-10, 2))
+
+    def test_cells_on_several_systems_take_one_space_and_an_explicit_grid(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_dormand_prince", lambda *a: pytest.fail("integrated"))
+        field = IntracavityField(TimeGrid(0.0, 1.0, 64), np.ones((64, 1), dtype=complex))
+        one, other = weak_cavity_system(), weak_cavity_system(g=2.0)
+        with pytest.raises(ValueError, match="explicit grid"):
+            propagate([one, other], field, PHONONS_OFF, amplitudes=(1.0, 2.0))
+        with pytest.raises(ValueError, match="one Hilbert space"):
+            propagate([one, weak_cavity_system(n_max=2)], field, PHONONS_OFF, grid=field.grid, amplitudes=(1.0, 2.0))
+        with pytest.raises(ValueError, match="broadcast"):
+            propagate([one, other, one], field, PHONONS_OFF, grid=field.grid, amplitudes=(1.0, 2.0))
 
     @pytest.mark.parametrize("columns", [[-1, 1], [0, 2]])
     def test_a_column_outside_the_stack_fails_first(self, columns, monkeypatch):

@@ -142,7 +142,7 @@ class TestConvolution:
         code = "\n".join([
             "import sys, numpy as np, cavex, cavex.cli",
             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-            "assert cavex.dynamics.CSR_MATVECS is not None",
+            "assert cavex.dynamics.CSR_MATVEC is not None",
             "import scipy.sparse",
             "product = scipy.sparse.csr_array(np.diag([1.0, 2.0])) @ np.array([[1.0, 2.0], [3.0, 4.0]])",
             "assert scipy.sparse._sparsetools.csr_matvecs is not None and product.tolist() == [[1, 2], [6, 8]]",
@@ -157,10 +157,10 @@ class TestConvolution:
             "import sys, types, scipy.sparse",
             "real = scipy.sparse._sparsetools",
             "stand_in = types.ModuleType(real.__name__)",
-            "stand_in.csr_matvecs = lambda *args: real.csr_matvecs(*args)",
+            "stand_in.csr_matvec = lambda *args: real.csr_matvec(*args)",
             "sys.modules[real.__name__] = stand_in",
             "import cavex",
-            "print(cavex.dynamics.CSR_MATVECS is stand_in.csr_matvecs, sys.modules.get(real.__name__) is stand_in)",
+            "print(cavex.dynamics.CSR_MATVEC is stand_in.csr_matvec, sys.modules.get(real.__name__) is stand_in)",
         ])
         assert run_python(code) == "True True"
 

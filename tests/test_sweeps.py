@@ -9,6 +9,7 @@ import sys
 import time
 import weakref
 from dataclasses import replace
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from cavex import dynamics, sweeps
 from cavex.config import ConfigError, SweepSpec, apply_override, blue_case, load_config, red_case
 from cavex.dynamics import PropagationError
-from cavex.pulses import GridResolutionError, IntracavityField, intracavity_field_numeric, pulse_area
+from cavex.pulses import GridResolutionError, IntracavityField, TimeGrid, intracavity_field_numeric, pulse_area
 from cavex.sweeps import (
     SweepCellError,
     SweepResult,
@@ -174,6 +175,9 @@ class TestRows:
                 st.integers(-24, 24).map(lambda q: 5.0 * q),  # delta_omega_L_GHz
                 st.integers(-20, 20).map(lambda q: 5.0 * q),  # delta_omega_e_GHz
                 st.integers(-5, 5).map(lambda q: q / 10),  # chirp_rate_ps2, read by a chirped block only
+                st.integers(-4, 4).map(lambda q: 10.0 * q),  # delta_omega_c_GHz
+                st.sampled_from([4.0, 6.0]),  # g_GHz
+                st.sampled_from([0.0, 1.0]),  # gamma_bg_GHz
             ),
             min_size=1,
             max_size=5,
@@ -182,24 +186,24 @@ class TestRows:
     )
     def test_every_cell_of_a_random_block_equals_its_own_block_of_one(self, cells, chirped):
         # the law a block rests on, under all three phonon maps: the cells,
-        # drawn in a random order, are propagated as one block of their
-        # stacked unit fields, and each one's photons_out, rhs_calls and
-        # states are its own _run_row((config,), 2) bit for bit.  No config
-        # holds a negative amplitude, so such a cell's block of one is
-        # propagated the same way at that amplitude
+        # drawn in a random order and on their own systems, are propagated as
+        # one block of their stacked unit fields, and each one's photons_out,
+        # rhs_calls and states are its own sample-free _run_row((config,),
+        # False) bit for bit.  No config holds a negative amplitude, so such a
+        # cell's block of one is propagated the same way at that amplitude
         shape = dict(pulse_shape="ChirpedGaussian") if chirped else dict(pulse_shape="Sech")
         for overrides in (dict(phonon_enabled=False), dict(), dict(secular=True)):
             configs = [
                 blue_case(amplitude_pi=abs(amp), delta_omega_L_GHz=dwl, delta_omega_e_GHz=dwe,
-                          chirp_rate_ps2=chirp if chirped else 0.0, tol=1e-6, n_field_points=4096,
-                          **shape, **overrides)
-                for amp, dwl, dwe, chirp in cells
+                          chirp_rate_ps2=chirp if chirped else 0.0, delta_omega_c_GHz=dwc, g_GHz=g,
+                          gamma_bg_GHz=gamma_bg, tol=1e-6, n_field_points=4096, **shape, **overrides)
+                for amp, dwl, dwe, chirp, dwc, g, gamma_bg in cells
             ]
-            amplitudes = [amp for amp, _, _, _ in cells]
+            amplitudes = [amp for amp, *_ in cells]
             block = self.signed_block(configs, amplitudes)
             for config, amp, traj in zip(configs, amplitudes, block):
                 if np.copysign(1.0, amp) > 0:
-                    alone = sweeps._run_row((config,), 2)[0][2]
+                    alone = sweeps._run_row((config,), False)[0][2]
                 else:
                     alone = self.signed_block([config], [amp])[0]
                 assert traj.photons_out == alone.photons_out
@@ -209,15 +213,16 @@ class TestRows:
     @staticmethod
     def signed_block(configs, amplitudes):
         """The cells of configs driven by the given amplitudes, of either
-        sign, in one propagate call as _run_row makes it: each cell's unit
-        field a column of the stack, on the two ends of the ring-down grid."""
+        sign, in one propagate call as a sample-free _run_row makes it: each
+        cell's unit field a column of the stack and its own system, on the
+        two ends of the drive window."""
         fields = [intracavity_field_numeric(c.pulse(), c.excitation_mode(), c.field_grid())
                   for c in (replace(config, amplitude_pi=1.0) for config in configs)]
         stack = IntracavityField(fields[0].grid, np.hstack([f.envelope for f in fields]))
-        first = configs[0]
-        system = first.system()
-        return sweeps.propagate(system, stack, first.phonon(), grid=dynamics.ringdown_grid(system, stack, 2),
-                                tol=first.tol, amplitudes=amplitudes, columns=range(len(configs))).cells
+        systems = [replace(config.system(), delta_omega_e=0.0) for config in configs]
+        grid = TimeGrid(stack.grid.t_start, stack.grid.t_end, 2)
+        return sweeps.propagate(systems, stack, configs[0].phonon(), grid=grid, tol=configs[0].tol,
+                                amplitudes=amplitudes, columns=range(len(configs))).cells
 
     def test_row_jobs_propagate_two_samples_and_run_cell_its_n_traj_points(self, monkeypatch):
         propagate, points = sweeps.propagate, []
@@ -256,9 +261,12 @@ class TestRows:
         ]
         drive[-1] = apply_override(drive[-1], "pulse.chirp_rate_ps2", 0.5)
         assert sweeps._rows(drive) == [tuple(drive)]
-        # what the generator, the Redfield table or a grid reads starts a new job
+        # so do the cavity detuning, g and gamma_bg: each cell runs under its own system
+        systems = [apply_override(cfg, path, value) for path, value in (
+            ("system.delta_omega_c_GHz", 10.0), ("system.g_GHz", 6.0), ("system.gamma_bg_GHz", 1.0))]
+        assert sweeps._rows([cfg] + systems) == [(cfg, *systems)]
+        # what the Hilbert space, the Redfield table or a grid reads starts a new job
         for path, value in (
-            ("system.delta_omega_c_GHz", 10.0),
             ("solver.n_max", 4),
             ("pulse.t_p_ps", 4.4),
             ("solver.n_field_points", 8192),
@@ -275,10 +283,45 @@ class TestRows:
         cells = [apply_override(cfg, "pulse.amplitude_pi", amp) for amp in range(8)]
         assert [len(job) for job in sweeps._rows(cells, 4)] == [2, 2, 2, 2]
         assert [len(job) for job in sweeps._rows(cells[:3], 4)] == [1, 1, 1]
-        # the largest parts are split first: 6 + 2 cells on two generators
-        other = [apply_override(cell, "system.delta_omega_c_GHz", 10.0) for cell in cells[:2]]
+        # the largest parts are split first: 6 + 2 cells on two Hilbert spaces
+        other = [apply_override(cell, "solver.n_max", 4) for cell in cells[:2]]
         jobs = sweeps._rows(cells[:6] + other, 4)
         assert [len(job) for job in jobs] == [2, 2, 2, 2] and jobs[-1] == tuple(other)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        drawn=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 2.5]),  # amplitude_pi
+                st.sampled_from([0.0, 10.0]),  # delta_omega_c_GHz
+                st.sampled_from([4.0, 6.0]),  # g_GHz
+                st.sampled_from([3, 4]),  # n_max
+                st.sampled_from([1e-8, 1e-7]),  # tol
+                st.sampled_from([4096, 8192]),  # n_field_points
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        jobs=st.integers(1, 8),
+        row_cells=st.integers(1, 5),
+    )
+    def test_rows_law(self, drawn, jobs, row_cells):
+        # every cell in exactly one job, in row-major order; a job has one
+        # _block_key, at most ROW_CELLS cells and ROW_SYSTEMS systems; there
+        # are at least the jobs asked for
+        cells = [blue_case(amplitude_pi=amp, delta_omega_c_GHz=dwc, g_GHz=g, n_max=n_max, tol=tol, n_field_points=nf)
+                 for amp, dwc, g, n_max, tol, nf in drawn]
+        with mock.patch.object(sweeps, "ROW_CELLS", row_cells):
+            out = sweeps._rows(cells, jobs)
+        flat = [cell for job in out for cell in job]
+        assert len(flat) == len(cells) and all(a is b for a, b in zip(flat, cells))
+        for job in out:
+            assert len({sweeps._block_key(cell) for cell in job}) == 1 and 1 <= len(job) <= row_cells
+            assert len({sweeps._generator_system(cell) for cell in job}) <= sweeps.ROW_SYSTEMS
+        assert len(out) >= min(jobs, len(cells))
+        # the system bound cuts a run only where its cells differ in more systems
+        many = [blue_case(delta_omega_c_GHz=float(k // 2)) for k in range(2 * sweeps.ROW_SYSTEMS + 2)]
+        assert [len(job) for job in sweeps._rows(many)] == [2 * sweeps.ROW_SYSTEMS, 2]
 
     def test_failing_cell_inside_a_row_names_its_coordinates(self, monkeypatch):
         # both detuning rows are one job; it fails from the second row's 2 pi
