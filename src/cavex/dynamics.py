@@ -471,9 +471,11 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
     finishes, as is the block-diagonal product of the running cells'
     generators (``_apply_block``, one kernel call per drift); the sign mask
     of the commutator with A is built once per call.  There is one Redfield
-    table per system, stacked, and one tail: the table covers the largest
-    finite bound |a| r_max of the cells, and a cell whose bound overflows
-    fails its own step control.
+    table per system, stacked: it covers the largest finite bound |a| r_max
+    of the cells, and a cell whose bound overflows fails its own step
+    control.  Each system's tail generator L_T is its ``terms``' rows of L0
+    and the photon count plus the drift's ``phonon_map`` of an exactly zero
+    drive on each basis state.
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol must lie in [1e-12, 1e-4]")
@@ -519,14 +521,14 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
     weights = applied = block = lam = lam_d = secular = None
     running = amp_c = col_c = sys_c = None  # the cells of the last drive call, their amplitudes, columns, systems
 
-    def buffers(cell_sys, n_rows):
-        """Buffers for drive cells on the systems cell_sys (an index each),
-        and the product of n_rows rows: one per cell, or one cell's repeated."""
+    def buffers(cell_sys):
+        """Buffers for running cells on the systems cell_sys (an index each):
+        the weights, and the product of one row per cell."""
         nonlocal weights, applied, block, sys_c
         sys_c = cell_sys
         weights = np.ones((len(RK_C) - 1, len(cell_sys), 1, 3), dtype=complex)
-        applied = np.empty((n_rows, 3, d2 + 1), dtype=complex)
-        block = _block_diagonal([gens[j].csr for j in np.broadcast_to(cell_sys, n_rows).tolist()], d2 + 1)
+        applied = np.empty((len(cell_sys), 3, d2 + 1), dtype=complex)
+        block = _block_diagonal([gens[j].csr for j in cell_sys.tolist()], d2 + 1)
 
     def stages(omega):
         """Evaluate the drive omega (stages, cells) for drift."""
@@ -545,20 +547,22 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
         nonlocal running, amp_c, col_c
         if cells is not running:  # the first call, or a cell has finished
             running, amp_c, col_c = cells, amps[cells, None], cols[cells, None]
-            buffers(which[cells], len(cells))
+            buffers(which[cells])
         omega = field.at(times, col_c)
         np.multiply(amp_c, omega, out=omega)
         stages(np.conjugate(omega, out=omega).T)
+
+    def phonon_map(rho, s):
+        """The phonon map of stage s of the last drive evaluation on each state of rho (rows, dim, dim)."""
+        return _commutator(lam[s], lam_d[s], sign, rho) if table is not None else secular(rho, s)
 
     def drift(y, s, out=None):
         """dy/dt of each row of y, one cell each, under stage s of the last
         drive evaluation, written to out (rows, 1, d2 + 1) if given."""
         # applied is contiguous for any number of rows: matmul's arithmetic follows the layout
         dy = np.matmul(weights[s], _apply_block(block, y, applied), out=out)[:, 0]
-        if lam is not None:
-            dy[:, :d2] += _commutator(lam[s], lam_d[s], sign, y[:, :d2].reshape(-1, dim, dim)).reshape(-1, d2)
-        elif secular is not None:
-            dy[:, :d2] += secular(y[:, :d2].reshape(-1, dim, dim), s).reshape(-1, d2)
+        if phonon.enabled:
+            dy[:, :d2] += phonon_map(y[:, :d2].reshape(-1, dim, dim), s).reshape(-1, d2)
         return dy
 
     times = grid.times
@@ -575,17 +579,21 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
     y, nfev, step_drift, failures = _dormand_prince(drive, drift, y, grid.t_start, t_w, times[:n_in], window,
                                                     slice(0, d2, dim + 1), tol, 1e-2 * tol, max_step)
 
-    # per system, the constant tail generator L_T, column by column from the
-    # same drift (one cell's zero drive, broadcast over the identity's rows),
-    # and the photons its cells emit past t_w
-    photons_out, l_rhos = [0.0] * n_cells, []
+    # per system, the constant tail generator L_T: the rows of L0 and the
+    # photon count, plus the phonon map of a zero drive on each basis state;
+    # then the photons its cells emit past t_w
+    photons_out, l_rhos = np.zeros(n_cells), []
     for j, system_j in enumerate(systems):
         members = np.flatnonzero(which == j)
         first = int(members[0])
-        buffers(which[first : first + 1], d2 + 1)
-        stages(np.zeros((1, 1)))
-        l_tail = drift(np.eye(d2 + 1, dtype=complex), 0).T
-        l_rho, flux = l_tail[:d2, :d2], l_tail[d2, :d2]
+        # row k: the drift of basis state k.  L_T is its transpose, column-major, the
+        # layout its recorded values come from: BLAS may order a product's sums by layout
+        l_tail = gens[j].terms[: d2 + 1].T.copy()
+        if phonon.enabled:
+            buffers(which[first : first + 1])
+            stages(np.zeros((1, 1)))
+            l_tail[:d2, :d2] += phonon_map(np.eye(d2, dtype=complex).reshape(d2, dim, dim), 0).reshape(d2, d2)
+        l_rho, flux = l_tail.T[:d2, :d2], l_tail.T[d2, :d2]
         # L_T rho_ss = 0, Tr rho_ss = 1 and L_T x = rho_ss - rho_T, Tr x = 0: the
         # rho_00 row is redundant (L_T preserves the trace), so Tr takes its place.
         # A singular L_T has no unique steady state: solve raises LinAlgError
@@ -604,9 +612,7 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
         y_j[[c for c, k in enumerate(members.tolist()) if failures[k]]] = 0.0  # their tails go unread
         rhs = rho_ss - y_j[:, :d2]
         rhs[:, 0] = 0.0
-        for k, n_out in zip(members.tolist(), (y_j[:, d2].real + (flux @ np.linalg.solve(m_ss, rhs.T)).real).tolist()):
-            photons_out[k] = n_out
-    applied = block = None  # the tail's product buffers, not read again: 0.68 MB at n_max = 3
+        photons_out[members] = y_j[:, d2].real + (flux @ np.linalg.solve(m_ss, rhs.T)).real
 
     if n_in < n_t:
         # samples past the window, written in place: the first one is
@@ -636,7 +642,7 @@ def propagate(system, field, phonon, rho0=None, grid=None, tol=1e-8, amplitudes=
             raise PropagationError(f"state eigenvalue {final_min_eig:.2e} below -1e-6", cell=k)
         photon, excited = (np.einsum("tij,ji->t", cell_states, op).real for op in (gen.n_op, gen.pop))
         cells.append(Trajectory(grid, cell_states, photon, excited, field, int(cols[k]), float(amps[k]),
-                                photons_out[k], nfev[k]))
+                                float(photons_out[k]), nfev[k]))
     return Row(states, tuple(cells))
 
 

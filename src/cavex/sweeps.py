@@ -41,25 +41,21 @@ from .observables import beta_collection, figure_of_merit
 from .pulses import IntracavityField, TimeGrid, intracavity_field_numeric, pulse_area
 
 FOCK_TOL = 1e-4  # the largest pi_e shift from n_max to n_max + 2 that counts as converged
-# the most cells one job integrates together.  Full recipes through run_sweep,
-# 2 workers on 2 vCPU, BLAS pinned, wall s (runs of one session; the parent
-# code read fig3a 8.1-11.3 and fig4 114-120 in them): fig3a 8.1-10.5 at a cap
-# of 8, 6.8-8.0 at 16, 5.0-7.3 at 32 and 4.9-5.0 at 64; fig4 102-103 at 8,
-# 70-79 at 16, 51-61 at 32 and 39-45 at 64.  The worker peak RSS on fig4 was
-# 72.7 MB for the parent, 73.6 at 8, 74.4 at 16, 76.0 at 32 and 80.5 at 64.
-# A job's tracemalloc peak grows with its distinct fields (about 0.75 MB each
-# at 8192 points: its column of the stack, of the cubic and of the cubic
-# build): a fig2c row of 8 or 32 cells peaks at 1.56 or 3.08 MB, a fig4 block
-# of 8 on four fields at 3.94 MB, one of 32 on three fields at 4.62 MB and a
-# block of 32 cells on 32 fields at 25.6 MB.  32 takes most of the gain and
-# keeps that worst case at half of 64's.
+# the most cells one job integrates together.  Full fig4 (6300 phonon cells)
+# through `cavex sweep --workers 2`, 2 vCPU, BLAS pinned, wall s and the
+# largest worker's peak RSS, one session: 27.8-32.8 at 32 (five runs,
+# 47.5-48.1 MB), 31.5 and 33.4 at 64 (54.2 MB), 27.0 and 30.8 at 128
+# (66.5-68.1 MB): past 32 a larger cap no longer pays.  A job's tracemalloc
+# peak grows with its distinct fields (about 0.75 MB each at 8192 points: its
+# column of the stack, of the cubic and of the cubic build): 32 phonon cells
+# at 12 pi on 32 fields and one system peak at 25.9 MB.
 ROW_CELLS = 32
-# the most distinct systems one job holds.  A job's peak grows with them too,
-# by about 1.2 MB each for 12 pi phonon cells (a generator, and a Redfield
-# table with its build): 32 cells on one field peak at 6.17 MB on 4 systems,
-# 10.7 on 8, 20.7 on 16 and 40.6 on 32.  8 keeps a cavity-detuning row (a
-# system per detuning, the amplitude innermost) in one job and the worst case
-# of one field near 11 MB.
+# the most distinct systems one job holds.  A job's peak grows with them too
+# (a generator's dense terms, 0.2 MB, and a Redfield table with its build):
+# 32 phonon cells at 12 pi on one field peak at 16.1 MB on 8 systems and 62.0
+# on 32; 32 fields on 8 systems, the worst job the two bounds allow, at 39.2.
+# No shipped recipe puts more than two systems in a job, and 8 keeps a
+# cavity-detuning row (a system per detuning, the amplitude innermost) in one.
 ROW_SYSTEMS = 8
 
 

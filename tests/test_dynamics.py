@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cavex import dynamics
@@ -633,6 +633,41 @@ class TestRingdownTail:
         assert abs(closed.photons_out - direct.photons_out) < 1e-9
         assert np.abs(closed.states - direct.states).max() < 1e-9
 
+    @pytest.mark.parametrize(
+        "phonon", [PHONONS_OFF, PhononSpec(), PhononSpec(secular=True)], ids=["phonon-free", "non-secular", "secular"]
+    )
+    def test_tail_generator_is_the_drift_of_a_zero_drive(self, phonon, monkeypatch):
+        # each system's L_T holds, bit for bit, the drift of a zero-drive stage
+        # over the rows of the identity. Read where the tail uses it: its state
+        # block as the first expm argument, scaled by the power of two from t_w
+        # to the first tail sample, and its photon row through the photons
+        # each cell emits past t_w
+        systems = block_systems([(0.0, 4.0, 0.0), (30.0, 6.0, 1.0)])
+        dim = systems[0].hilbert.dim
+        d2 = dim ** 2
+        field = zero_field(0.0, 2.0**-50)
+        grid = TimeGrid(0.0, 2.0**-48, 3)  # t_w = 2^-50, samples at 2^-49 and 2^-48
+        expm_args, solved, ends = [], [], []
+        expm, solve, dormand_prince = dynamics.expm, np.linalg.solve, dynamics._dormand_prince
+        monkeypatch.setattr(dynamics, "expm", lambda m: expm_args.append(m) or expm(m))
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(solve(a, b)) or solved[-1])
+        monkeypatch.setattr(dynamics, "_dormand_prince", lambda *a: ends.append(dormand_prince(*a)) or ends[-1])
+        rho0 = random_density_matrix(np.random.default_rng(5), dim)
+        row = propagate([systems[0], systems[1], systems[0]], field, phonon, rho0=rho0, grid=grid,
+                        amplitudes=(1.0, 2.0, 3.0))
+        monkeypatch.undo()
+        y = ends[0][0]
+        for j, members in enumerate(([0, 2], [1])):
+            cells = np.arange(d2 + 1)
+            drive, drift = block_drift([systems[j]] * (d2 + 1), phonon, field, np.ones(d2 + 1), 0)
+            drive(cells, np.zeros((d2 + 1, 1)))
+            l_tail = drift(np.eye(d2 + 1, dtype=complex), 0).T
+            l_rho, flux = l_tail[:d2, :d2], l_tail[d2, :d2]
+            assert (expm_args[j] * 2.0**50).tobytes() == l_rho.tobytes()
+            # the tail's second solve of system j is its cells' x: L_T x = rho_ss - rho_T
+            photons = y[members, d2].real + (flux @ solved[2 * j + 1]).real
+            assert [row.cells[k].photons_out for k in members] == photons.tolist()
+
 
 class TestRow:
     def test_amplitudes_scale_the_field(self):
@@ -771,7 +806,7 @@ class TestRow:
         cfg = blue_case(amplitude_pi=1.0, phonon_enabled=False, n_field_points=4096)
         system = cfg.system()
         field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
-        for amplitudes, cell in (((2.0, np.nan, 3.0), 1), ((2.0, 3.0, 1e300), 2)):
+        for amplitudes, cell in (((2.0, np.nan, 3.0), 1), ((2.0, 3.0, 1e300), 2), ((np.nan, 2.0, 3.0), 0)):
             with warnings.catch_warnings():
                 if np.isfinite(amplitudes[cell]):  # the overflowing drive's arithmetic warns
                     warnings.filterwarnings("ignore", "(overflow|invalid value) encountered", RuntimeWarning)
@@ -860,6 +895,28 @@ class TestMirrorSymmetry:
         # populations and photon flux are invariant under the mirror; at
         # tol = 1e-12 each trajectory carries a few 1e-8 of residual RK45
         # global error, which bounds how closely the two runs can agree
+        assert np.abs(b.excited_pop - r.excited_pop).max() < 5e-8
+        assert np.abs(b.photon_number - r.photon_number).max() < 5e-8
+        assert abs(b.photons_out - r.photons_out) < 5e-8
+
+    # detunings (GHz) drawn from the recipes' axes: fig3a's laser, fig4's
+    # excitation-mode and figS1's cavity detunings; a failure is reported
+    # unshrunk, since shrinking would run tight cells for minutes
+    @settings(max_examples=3, deadline=None, phases=(Phase.explicit, Phase.generate))
+    @given(dwl=st.sampled_from(range(-120, 121, 5)), dwe=st.sampled_from(range(-100, 101, 10)),
+           dwc=st.sampled_from(range(-30, 31, 5)))
+    def test_mirror_law(self, dwl, dwe, dwc):
+        # without phonons, negating every detuning conjugates the master
+        # equation: photons and populations do not change, within the bounds
+        # of the fixed blue/red pair above at the same tol
+        trajs = []
+        for sign in (1.0, -1.0):
+            cfg = blue_case(amplitude_pi=7.5, phonon_enabled=False, tol=1e-12, delta_omega_L_GHz=sign * dwl,
+                            delta_omega_e_GHz=sign * dwe, delta_omega_c_GHz=sign * dwc)
+            field = intracavity_field_numeric(cfg.pulse(), cfg.excitation_mode(), cfg.field_grid())
+            trajs.append(propagate(cfg.system(), field, cfg.phonon(), tol=cfg.tol).cells[0])
+        b, r = trajs
+        assert b.grid == r.grid
         assert np.abs(b.excited_pop - r.excited_pop).max() < 5e-8
         assert np.abs(b.photon_number - r.photon_number).max() < 5e-8
         assert abs(b.photons_out - r.photons_out) < 5e-8

@@ -21,11 +21,20 @@ For every recipe reduced to ``PiE`` or ``EtaC``, ``run`` also stores the
 carries the cavity filter equation as state) for the cut map's largest
 cell, times ``beta_c`` for an ``EtaC`` map.
 
+The maps are sample-free, so ``run`` also runs the sampled commands on
+``configs/default.ini`` and stores a SHA-256 hash of every file they write:
+``cavex simulate`` on the recipe itself, on a copy with ``phonon.secular =
+true`` and on a copy with ``phonon.enabled = false`` and ``solver.tol =
+1e-12``, and ``cavex bloch --areas 1 3``.  A CSV is hashed whole; a JSON by
+its numeric fields alone, so ``version``, ``config_hash`` and
+``wall_time_s`` do not count.  OUT.json holds ``{"maps": {...}, "sampled":
+{"case/file": hash}}``.
+
 ``compare`` prints, per recipe, the largest |difference| between the map
 values of two such files and the cell where it occurs, then the value of
-each reference cell in both files next to its reference, and last a line
+each reference cell in both files next to its reference, and a line
 naming the recipes whose maps are bit-identical (every value the same
-float, max |diff| = 0).  It exits
+float, max |diff| = 0); last, whether each sampled hash matches.  It exits
 1 if any reference cell lies farther from its reference in AFTER than in
 BEFORE by more than 1e-9.
 """
@@ -33,6 +42,7 @@ BEFORE by more than 1e-9.
 import argparse
 import configparser
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -43,6 +53,14 @@ from pathlib import Path
 CUTS = {"axis1_values": 2, "axis2_values": 3, "amplitude_grid": 2}
 SOLVER = {"n_field_points": "4096", "n_traj_points": "600"}
 DRIFT = 1e-9  # how much farther from its reference a cell may move
+# the sampled commands: case -> (command and its flags, overrides of configs/default.ini)
+SAMPLED = {
+    "simulate": (["simulate"], {}),
+    "simulate_secular": (["simulate"], {"phonon": {"secular": "true"}}),
+    "simulate_tight": (["simulate"], {"phonon": {"enabled": "false"}, "solver": {"tol": "1e-12"}}),
+    "bloch": (["bloch", "--areas", "1", "3"], {}),
+}
+SKIPPED = {"version", "config_hash", "wall_time_s"}  # JSON fields that do not describe the numbers
 
 # run with the checkout's src/ on the path: argv is the cut recipe; prints
 # run_sweep's values on it in row-major order, at full precision
@@ -74,9 +92,7 @@ print(repr(scale * reference.pi_e(cfg)[0]))
 
 def cut_recipe(src, dst):
     """Write the cut copy of recipe `src` to `dst`; False if it has no sweep."""
-    ini = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    ini.optionxform = str
-    ini.read(src)
+    ini = read_ini(src)
     if "sweep" not in ini:
         return False
     for key, n in CUTS.items():
@@ -88,6 +104,32 @@ def cut_recipe(src, dst):
     with open(dst, "w", encoding="utf-8") as fh:
         ini.write(fh)
     return True
+
+
+def read_ini(path):
+    """The INI file at `path`, its keys' case kept."""
+    ini = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    ini.optionxform = str
+    ini.read(path)
+    return ini
+
+
+def numeric_fields(node, path=""):
+    """The (path, value) of every number in a parsed JSON document, fields
+    named in SKIPPED left out."""
+    if isinstance(node, dict):
+        return [f for key in sorted(node) if key not in SKIPPED for f in numeric_fields(node[key], f"{path}/{key}")]
+    if isinstance(node, list):
+        return [f for k, item in enumerate(node) for f in numeric_fields(item, f"{path}/{k}")]
+    return [(path, node)] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+def file_hash(path):
+    """SHA-256 of a CSV's bytes, or of a JSON file's numeric fields."""
+    data = path.read_bytes()
+    if path.suffix == ".json":
+        data = json.dumps(numeric_fields(json.loads(data))).encode()
+    return hashlib.sha256(data).hexdigest()
 
 
 def run(root, out):
@@ -123,12 +165,27 @@ def run(root, out):
             if reference.strip():
                 maps[recipe.stem]["reference"] = {"cell": cell, "value": float(reference)}
             print(f"{recipe.stem}: {len(rows)} cells", file=sys.stderr)
-    Path(out).write_text(json.dumps(maps, indent=1) + "\n", encoding="utf-8")
+        sampled = {}
+        for case, (command, overrides) in SAMPLED.items():
+            ini = root / "configs" / "default.ini"
+            if overrides:
+                ini, edited = Path(tmp) / f"{case}.ini", read_ini(ini)
+                for section, keys in overrides.items():
+                    edited[section].update(keys)
+                with open(ini, "w", encoding="utf-8") as fh:
+                    edited.write(fh)
+            out_dir = Path(tmp) / case
+            python(f"{case}: cavex {command[0]}", "-m", "cavex.cli", *command, "--config", str(ini),
+                   "--out", str(out_dir))
+            sampled.update({f"{case}/{f.name}": file_hash(f) for f in sorted(out_dir.iterdir())})
+            print(f"{case}: {len(list(out_dir.iterdir()))} files", file=sys.stderr)
+    Path(out).write_text(json.dumps({"maps": maps, "sampled": sampled}, indent=1) + "\n", encoding="utf-8")
 
 
 def compare(before, after):
-    a = json.loads(Path(before).read_text(encoding="utf-8"))
-    b = json.loads(Path(after).read_text(encoding="utf-8"))
+    files = [json.loads(Path(path).read_text(encoding="utf-8")) for path in (before, after)]
+    a, b = (f["maps"] for f in files)
+    hashes_a, hashes_b = (f["sampled"] for f in files)
     print(f"{'recipe':12s} {'cells':>5s} {'max |diff|':>11s}  at")
     names, identical = sorted(set(a) | set(b)), []
     for name in names:
@@ -164,6 +221,14 @@ def compare(before, after):
     if drifted:
         print(f"moved away from the reference by more than {DRIFT:g}: {', '.join(drifted)}")
     print(f"bit-identical, {len(identical)} of {len(names)}: {', '.join(identical) or 'none'}")
+    print()
+    outputs = sorted(set(hashes_a) | set(hashes_b))
+    for name in outputs:
+        verdict = ("missing from one file" if name not in hashes_a or name not in hashes_b
+                   else "matches" if hashes_a[name] == hashes_b[name] else "differs")
+        print(f"{name:48s} {verdict}")
+    matching = sum(hashes_a.get(name) == hashes_b.get(name) for name in outputs)
+    print(f"sampled hashes matching, {matching} of {len(outputs)}")
     return 1 if drifted else 0
 
 
